@@ -43,8 +43,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _parse_config_file(path: str) -> dict:
+    out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -52,15 +52,18 @@ def _parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise DataError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            try:
+                out[key] = _coerce(key, value)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
     return out
 
 
 def _coerce(key: str, raw: str):
     if key == "alpha":
         return float(raw)
-    if key in ("iterations", "seed", "resamples", "workers"):
+    if key in ("iterations", "seed", "resamples"):
         return int(raw)
     if key == "k":
         return None if raw.lower() in ("none", "") else int(raw)
@@ -69,7 +72,7 @@ def _coerce(key: str, raw: str):
             return True
         if raw.lower() in ("0", "false", "no", "nop"):
             return False
-        raise DataError(f"bad boolean {raw!r} for 'prior'")
+        raise ValueError(raw)
     return raw
 
 
@@ -83,16 +86,26 @@ def _resolve(args, defaults: dict) -> dict:
             cli_val = False
         if cli_val is not None:
             out[key] = cli_val
-        elif key in cfg:
-            out[key] = _coerce(key, cfg[key])
         else:
-            out[key] = default
+            out[key] = cfg.get(key, default)
     return out
 
 
-def _params(opts: dict) -> PprParams:
-    return PprParams(alpha=opts["alpha"], iterations=opts["iterations"],
-                     k=opts["k"], prior_init=opts["prior"])
+def _walk_params(alpha: float, iterations: int, k: int | None, prior: bool) -> PprParams:
+    """The parameters of every walk a command runs; bad values are usage errors."""
+    try:
+        return PprParams(alpha=alpha, iterations=iterations, k=k, prior_init=prior)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _run_config(task: str, system: str, spec: str, params: PprParams, seed: int,
+                dataset: str, data: str, **extra) -> dict:
+    """The run configuration every report embeds."""
+    return {"task": task, "system": system, "graph_spec": spec,
+            "alpha": params.alpha, "iterations": params.iterations, "k": params.k,
+            "prior_init": params.prior_init, "seed": seed, "dataset": dataset,
+            "data": data, **extra}
 
 
 def _validate_spec(spec: str) -> str:
@@ -161,41 +174,32 @@ def cmd_build(args) -> int:
 
 def cmd_rel(args) -> int:
     opts = _resolve(args, REL_DEFAULTS)
+    params = _walk_params(opts["alpha"], opts["iterations"], opts["k"], opts["prior"])
     nodes, graph, store = _load_runtime(args.data, opts["spec"], args.sqlite_dict)
-    config = {"task": "rel", "system": args.system, "graph_spec": opts["spec"],
-              "alpha": opts["alpha"], "iterations": opts["iterations"],
-              "k": opts["k"], "prior_init": opts["prior"], "seed": opts["seed"],
-              "on_unknown": args.on_unknown, "dataset": args.pairs,
-              "data": args.data}
     pairs = eval_mod.load_relatedness_pairs(args.pairs)
-    has_gold = all(g is not None for _, _, g in pairs)
-    if has_gold:
-        report, rows = eval_mod.run_eval(
-            "rel", args.system, [args.pairs], graph=graph, store=store,
-            nodes=nodes, params=_params(opts), config=config,
-            baseline_paths=args.baseline or None, on_unknown=args.on_unknown,
-            dataset_name=args.pairs)
-    else:
-        rows = rel_mod.score_pairs(pairs, graph, store, _params(opts),
-                                   args.system, args.on_unknown)
-        report = None
+    rows = rel_mod.score_pairs(pairs, graph, store, params, args.system, args.on_unknown)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("term1\tterm2\tgold\tscore\n")
         for t1, t2, gold, score in rows:
             g = "" if gold is None else f"{gold:.12g}"
             s = "NA" if score is None else f"{score:.12g}"
             fh.write(f"{t1}\t{t2}\t{g}\t{s}\n")
-    if report is not None:
-        print(f"spearman {report.value:.4f} on {report.n} pairs")
+    if any(g is None for _, _, g in pairs):
         if args.report:
-            report.write(args.report)
-    elif args.report:
-        raise DataError("cannot write a report: dataset has no gold scores")
+            raise DataError("cannot write a report: dataset has no gold scores")
+        return 0
+    config = _run_config("rel", args.system, opts["spec"], params, opts["seed"],
+                         args.pairs, args.data, on_unknown=args.on_unknown)
+    report = eval_mod.rel_run_report(args.pairs, rows, args.baseline or [], config)
+    print(f"spearman {report.value:.4f} on {report.n} pairs")
+    if args.report:
+        report.write(args.report)
     return 0
 
 
 def cmd_ned(args) -> int:
     opts = _resolve(args, NED_DEFAULTS)
+    params = _walk_params(opts["alpha"], opts["iterations"], opts["k"], opts["prior"])
     nodes, graph, store = _load_runtime(args.data, opts["spec"], args.sqlite_dict)
     redirects = eval_mod.load_redirect_map(args.redirects) if args.redirects else None
     queries = ned_mod.load_queries(args.queries)
@@ -203,32 +207,24 @@ def cmd_ned(args) -> int:
     if args.resolver_url:
         cache = args.resolver_cache or os.path.join(args.data, "resolver_cache.json")
         resolver = ned_mod.CachedHttpResolver(args.resolver_url, cache)
-    preds = ned_mod.run_batch(queries, graph, store, _params(opts),
+    preds = ned_mod.run_batch(queries, graph, store, params,
                               system=args.system, workers=args.workers or 1,
                               resolver=resolver, nodes=nodes,
                               include_target=not args.context_only_teleport)
     ned_mod.write_predictions(preds, nodes, args.out)
-    has_gold = any(q.gold_title is not None for q in queries)
-    if has_gold:
-        gold = {q.query_id: q.gold_title for q in queries}
-        acc = eval_mod.accuracy(preds, gold, nodes, redirects)
-        fallback = sum(1 for p in preds if p.fallback_used)
-        print(f"accuracy {acc.value:.4f} on {acc.n} non-NIL instances "
-              f"({fallback} fallbacks, {len(preds)} queries)")
+    if all(q.gold_title is None for q in queries):
         if args.report:
-            config = {"task": "ned", "system": args.system, "graph_spec": opts["spec"],
-                      "alpha": opts["alpha"], "iterations": opts["iterations"],
-                      "k": opts["k"], "prior_init": opts["prior"],
-                      "seed": opts["seed"], "dataset": args.queries,
-                      "data": args.data,
-                      "include_target": not args.context_only_teleport}
-            report = eval_mod.EvalReport(args.queries, "accuracy", acc.value, acc.n, config)
-            report.extras["fallback_count"] = fallback
-            report.extras["fallback_rate"] = fallback / len(preds)
-            report.extras["nil_predictions"] = sum(1 for p in preds if p.predicted is None)
-            report.write(args.report)
-    elif args.report:
-        raise DataError("cannot write a report: queries have no gold titles")
+            raise DataError("cannot write a report: queries have no gold titles")
+        return 0
+    config = _run_config("ned", args.system, opts["spec"], params, opts["seed"],
+                         args.queries, args.data,
+                         include_target=not args.context_only_teleport)
+    report = eval_mod.ned_run_report(args.queries, queries, preds, nodes, [], config,
+                                     redirects)
+    print(f"accuracy {report.value:.4f} on {report.n} non-NIL instances "
+          f"({report.extras['fallback_count']} fallbacks, {len(preds)} queries)")
+    if args.report:
+        report.write(args.report)
     return 0
 
 
@@ -259,7 +255,8 @@ def _sweep_cells(args, opts):
     ks = axis(args.ks, lambda x: None if x.lower() == "none" else int(x), opts["k"])
     priors = axis(args.priors, lambda x: {"p": True, "nop": False}[x.lower()],
                   opts["prior"])
-    cells = list(itertools.product(graphs, alphas, iters, ks, priors))
+    cells = [(spec, _walk_params(*walk))
+             for spec, *walk in itertools.product(graphs, alphas, iters, ks, priors)]
     if not cells:
         raise UsageError("sweep grid is empty")
     return cells
@@ -280,23 +277,20 @@ def cmd_sweep(args) -> int:
         runtimes[spec] = _load_runtime(args.data, spec)
 
     def cell_name(cell):
-        spec, alpha, iterations, k, prior = cell
-        return (f"{spec}_a{alpha:g}_i{iterations}_k{'none' if k is None else k}"
-                f"_{'P' if prior else 'noP'}")
+        spec, p = cell
+        return (f"{spec}_a{p.alpha:g}_i{p.iterations}_k{'none' if p.k is None else p.k}"
+                f"_{'P' if p.prior_init else 'noP'}")
 
     def run_cell(cell):
-        spec, alpha, iterations, k, prior = cell
+        spec, params = cell
         name = cell_name(cell)
         marker = os.path.join(args.out, name + ".done")
         report_path = os.path.join(args.out, name + ".json")
         if os.path.exists(marker):
             return name, "skipped"
         nodes, graph, store = runtimes[spec]
-        params = PprParams(alpha=alpha, iterations=iterations, k=k, prior_init=prior)
-        config = {"task": args.task, "system": args.system, "graph_spec": spec,
-                  "alpha": alpha, "iterations": iterations, "k": k,
-                  "prior_init": prior, "seed": opts["seed"],
-                  "dataset": args.dataset, "data": args.data}
+        config = _run_config(args.task, args.system, spec, params, opts["seed"],
+                             args.dataset, args.data)
         report, _ = eval_mod.run_eval(
             args.task, args.system, [args.dataset], graph=graph, store=store,
             nodes=nodes, params=params, config=config, seed=opts["seed"],
@@ -325,9 +319,9 @@ def cmd_sweep(args) -> int:
             path = os.path.join(args.out, name + ".json")
             with open(path, encoding="utf-8") as rfh:
                 rep = json.load(rfh)
-            spec, alpha, iterations, k, prior = cell
-            writer.writerow([name, spec, alpha, iterations,
-                             "" if k is None else k, "P" if prior else "noP",
+            spec, p = cell
+            writer.writerow([name, spec, p.alpha, p.iterations,
+                             "" if p.k is None else p.k, "P" if p.prior_init else "noP",
                              rep["metric"], rep["value"], rep["n"]])
     print(f"{len(cells)} cells -> {summary_path}")
     return 0

@@ -10,8 +10,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DataError
+from .tsv import read_tsv
 
 _MAGIC = b"GWDICT1"
+# one candidate as stored by both backends: article id, count, prior
+_TRIPLE = struct.Struct("<IQd")
 _WS_RE = re.compile(r"\s+")
 
 
@@ -103,23 +106,15 @@ class Dictionary:
     def build(cls, counts_path: str, n_nodes: int | None = None) -> "Dictionary":
         """Load a ``dict_counts.tsv`` file (mention, article_id, count)."""
         counts: dict[str, dict[int, int]] = {}
-        with open(counts_path, encoding="utf-8") as fh:
-            fh.readline()  # header
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 3:
-                    raise DataError(f"{counts_path}:{lineno}: expected 3 columns")
-                try:
-                    article, count = int(cols[1]), int(cols[2])
-                except ValueError:
-                    raise DataError(f"{counts_path}:{lineno}: bad integer") from None
-                if n_nodes is not None and not 0 <= article < n_nodes:
-                    raise DataError(f"{counts_path}:{lineno}: unknown article id {article}")
-                slot = counts.setdefault(cols[0], {})
-                slot[article] = slot.get(article, 0) + count
+        for lineno, cols in read_tsv(counts_path, 3, 3):
+            try:
+                article, count = int(cols[1]), int(cols[2])
+            except ValueError:
+                raise DataError(f"{counts_path}:{lineno}: bad integer") from None
+            if n_nodes is not None and not 0 <= article < n_nodes:
+                raise DataError(f"{counts_path}:{lineno}: unknown article id {article}")
+            slot = counts.setdefault(cols[0], {})
+            slot[article] = slot.get(article, 0) + count
         return cls.from_counts(counts)
 
     def save(self, path: str) -> None:
@@ -135,7 +130,7 @@ class Dictionary:
                                    len(self.entries[m].candidates))
             strtab += mb
             for c in self.entries[m].candidates:
-                triples += struct.pack("<IQd", c.article, c.count, c.prior)
+                triples += _TRIPLE.pack(c.article, c.count, c.prior)
                 n_triples += 1
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
@@ -153,15 +148,16 @@ class Dictionary:
             n_entries, _max_len, strtab_len, n_triples = struct.unpack("<QQQQ", fh.read(32))
             offs = [struct.unpack("<QII", fh.read(16)) for _ in range(n_entries)]
             strtab = fh.read(strtab_len)
-            blob = fh.read(n_triples * 20)
+            blob = fh.read(n_triples * _TRIPLE.size)
+        if len(blob) != n_triples * _TRIPLE.size:
+            raise DataError(f"{path}: truncated dictionary snapshot")
+        triples = list(map(Candidate._make, _TRIPLE.iter_unpack(blob)))
         entries: dict[str, DictEntry] = {}
         pos = 0
         for str_off, str_len, n_cand in offs:
             m = strtab[str_off:str_off + str_len].decode("utf-8")
-            cands = [Candidate(*struct.unpack_from("<IQd", blob, (pos + i) * 20))
-                     for i in range(n_cand)]
+            entries[m] = DictEntry(m, tuple(triples[pos:pos + n_cand]))
             pos += n_cand
-            entries[m] = DictEntry(m, tuple(cands))
         if pos != n_triples:
             raise DataError(f"{path}: truncated dictionary snapshot")
         return cls(entries)
@@ -194,10 +190,8 @@ class SqliteDictionary:
             "SELECT candidates FROM entries WHERE mention=?", (mention,)).fetchone()
         if row is None:
             return None
-        blob = row[0]
-        (n,) = struct.unpack_from("<I", blob, 0)
-        cands = [Candidate(*struct.unpack_from("<IQd", blob, 4 + i * 20))
-                 for i in range(n)]
+        # a u32 candidate count, then the triples
+        cands = map(Candidate._make, _TRIPLE.iter_unpack(row[0][4:]))
         return DictEntry(mention, tuple(cands))
 
     def lookup(self, raw: str):
@@ -220,7 +214,7 @@ class SqliteDictionary:
             for m in sorted(dictionary.entries):
                 cands = dictionary.entries[m].candidates
                 blob = struct.pack("<I", len(cands)) + b"".join(
-                    struct.pack("<IQd", c.article, c.count, c.prior) for c in cands)
+                    _TRIPLE.pack(c.article, c.count, c.prior) for c in cands)
                 conn.execute("INSERT INTO entries VALUES (?, ?)", (m, blob))
             conn.commit()
         finally:

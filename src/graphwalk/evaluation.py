@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -16,7 +16,9 @@ from . import ned as ned_mod
 from . import relatedness as rel_mod
 from .errors import DataError
 from .graph import NodeTable, TypedGraph
+from .ingest import REDIRECT_DEPTH_CAP
 from .ppr import PprParams
+from .tsv import read_tsv
 
 DEFAULT_RESAMPLES = 10_000
 SIGNIFICANCE_LEVEL = 0.05
@@ -50,10 +52,12 @@ def _is_nil(title: str | None) -> bool:
 
 
 def _map_title(title: str, redirects: dict[str, str] | None) -> str:
+    """Follow version redirects for at most REDIRECT_DEPTH_CAP hops; a cycle
+    maps to the last title before the repeat."""
     if not redirects:
         return title
     seen = {title}
-    for _ in range(16):
+    for _ in range(REDIRECT_DEPTH_CAP):
         nxt = redirects.get(title)
         if nxt is None or nxt in seen:
             return title
@@ -144,73 +148,38 @@ def paired_bootstrap(goldmatch_a, goldmatch_b, resamples: int = DEFAULT_RESAMPLE
 def load_relatedness_pairs(path: str):
     """Read term1 <tab> term2 [<tab> gold_score] rows."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) not in (2, 3):
-                raise DataError(f"{path}:{lineno}: expected 2 or 3 columns")
-            gold = None
-            if len(cols) == 3 and cols[2] != "":
-                try:
-                    gold = float(cols[2])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad gold score {cols[2]!r}") from None
-            pairs.append((cols[0], cols[1], gold))
+    for lineno, cols in read_tsv(path, 2, 3):
+        gold = None
+        if len(cols) == 3 and cols[2] != "":
+            try:
+                gold = float(cols[2])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad gold score {cols[2]!r}") from None
+        pairs.append((cols[0], cols[1], gold))
     return pairs
 
 
 def load_redirect_map(path: str) -> dict[str, str]:
     """Read old_title <tab> new_title version-mapping rows."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns")
-            out[cols[0]] = cols[1]
-    return out
+    return {cols[0]: cols[1] for _, cols in read_tsv(path, 2, 2)}
 
 
 def load_rel_predictions(path: str) -> dict[tuple[str, str], float]:
     """Scores from an emitted relatedness prediction file, keyed by pair."""
     out: dict[tuple[str, str], float] = {}
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) < 4:
-                raise DataError(f"{path}:{lineno}: expected 4 columns")
-            if cols[3] == "NA":
-                continue
+    for lineno, cols in read_tsv(path, 4, None):
+        if cols[3] == "NA":
+            continue
+        try:
             out[(cols[0], cols[1])] = float(cols[3])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad score {cols[3]!r}") from None
     return out
 
 
 def load_ned_predictions(path: str) -> dict[str, str]:
     """Predicted titles from an emitted NED prediction file, keyed by query id."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) < 2:
-                raise DataError(f"{path}:{lineno}: expected 4 columns")
-            out[cols[0]] = cols[1]
-    return out
+    return {cols[0]: cols[1] for _, cols in read_tsv(path, 2, None)}
 
 
 @dataclass
@@ -224,15 +193,7 @@ class EvalReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "metric": self.metric,
-            "value": self.value,
-            "n": self.n,
-            "config": self.config,
-            "significance": self.significance,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -240,12 +201,101 @@ class EvalReport:
             fh.write("\n")
 
 
-def _rel_metric(rows):
-    gold = [g for _, _, g, s in rows if s is not None]
-    pred = [s for _, _, g, s in rows if s is not None]
-    if any(g is None for g in gold):
-        raise DataError("relatedness dataset is missing gold scores")
-    return spearman(gold, pred), len(gold)
+def _spearman_over_scored(pairs, scores, source: str) -> tuple[float, int]:
+    """Spearman of ``scores`` against gold over the gold pairs it scored."""
+    joint = [(g, scores[(t1, t2)]) for t1, t2, g in pairs
+             if g is not None and (t1, t2) in scores]
+    try:
+        value = spearman([g for g, _ in joint], [s for _, s in joint])
+    except ValueError as exc:
+        raise DataError(f"{source}: {exc}") from None
+    return value, len(joint)
+
+
+def rel_report(name: str, pairs, scores_by_pair: dict[tuple[str, str], float],
+               baselines: list[str], config: dict) -> EvalReport:
+    """Spearman of scored pairs against gold, Fisher z against each baseline.
+
+    Every system, baselines included, is correlated over the gold pairs it
+    scored; the test needs at least 4 such pairs on each side.
+    """
+    value, n = _spearman_over_scored(pairs, scores_by_pair, "predictions")
+    report = EvalReport(name, "spearman", value, n, config)
+    for base in baselines:
+        base_value, base_n = _spearman_over_scored(
+            pairs, load_rel_predictions(base), f"baseline {base}")
+        if min(n, base_n) < 4:
+            raise DataError(f"baseline {base}: the fisher z test needs 4 scored "
+                            f"gold pairs on each side, got {n} and {base_n}")
+        p = fisher_z_test(value, base_value, n, base_n)
+        report.significance.append({
+            "baseline": base, "baseline_value": base_value, "p_value": p,
+            "significant": p < SIGNIFICANCE_LEVEL,
+            "test": "fisher-z-two-sided",
+        })
+    return report
+
+
+def _outcomes(queries, titles: dict[str, str], redirects, source: str) -> list[bool]:
+    for q in queries:
+        if q.query_id not in titles:
+            raise DataError(f"{source}: no prediction for query {q.query_id!r}")
+    return [_map_title(titles[q.query_id], redirects) == q.gold_title for q in queries]
+
+
+def ned_report(name: str, queries, titles_by_id: dict[str, str],
+               baselines: list[str], config: dict,
+               redirects: dict[str, str] | None = None,
+               resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> EvalReport:
+    """Non-NIL accuracy of predicted titles, paired bootstrap per baseline.
+
+    Outcomes are taken per query with a knowledge-base gold entity, in
+    dataset order; predicted titles are redirect-mapped before comparison.
+    """
+    if len({q.query_id for q in queries}) != len(queries):
+        raise DataError("query ids repeat across the pooled datasets")
+    kb_queries = [q for q in queries if not _is_nil(q.gold_title)]
+    if not kb_queries:
+        raise DataError("no instance has a gold entity in the knowledge base")
+    ours = _outcomes(kb_queries, titles_by_id, redirects, "predictions")
+    report = EvalReport(name, "accuracy", sum(ours) / len(ours), len(ours), config)
+    for base in baselines:
+        theirs = _outcomes(kb_queries, load_ned_predictions(base), redirects,
+                           f"baseline {base}")
+        p_val = paired_bootstrap(ours, theirs, resamples, seed)
+        report.significance.append({
+            "baseline": base,
+            "baseline_value": sum(theirs) / len(theirs),
+            "p_value": p_val,
+            "significant": p_val < SIGNIFICANCE_LEVEL,
+            "test": "paired-bootstrap-one-sided",
+            "resamples": resamples, "seed": seed,
+        })
+    return report
+
+
+def rel_run_report(name: str, rows, baselines: list[str], config: dict) -> EvalReport:
+    """``rel_report`` over ``score_pairs`` rows, plus the skipped-pair count."""
+    scores = {(t1, t2): s for t1, t2, _, s in rows if s is not None}
+    report = rel_report(name, [row[:3] for row in rows], scores, baselines, config)
+    report.extras["skipped_pairs"] = sum(1 for row in rows if row[3] is None)
+    return report
+
+
+def ned_run_report(name: str, queries, preds, nodes: NodeTable,
+                   baselines: list[str], config: dict,
+                   redirects: dict[str, str] | None = None,
+                   resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> EvalReport:
+    """``ned_report`` over a run's predictions, plus its fallback and NIL counts."""
+    titles = {p.query_id: nodes.title_of(p.predicted) if p.predicted is not None else "NIL"
+              for p in preds}
+    report = ned_report(name, queries, titles, baselines, config, redirects,
+                        resamples, seed)
+    fallback = sum(1 for p in preds if p.fallback_used)
+    report.extras["fallback_count"] = fallback
+    report.extras["fallback_rate"] = fallback / len(preds)
+    report.extras["nil_predictions"] = sum(1 for p in preds if p.predicted is None)
+    return report
 
 
 def run_eval(task: str, system: str, dataset_paths: list[str], *,
@@ -260,73 +310,29 @@ def run_eval(task: str, system: str, dataset_paths: list[str], *,
 
     Returns (EvalReport, predictions). Multiple dataset paths are
     concatenated before the metric and the significance test, so pooled
-    comparisons use a single test over all instances.
+    comparisons use a single test over all instances. Without ``params``
+    each task walks with its own defaults.
     """
-    params = params or PprParams()
     name = dataset_name or "+".join(dataset_paths)
     config = dict(config or {})
     config.setdefault("system", system)
     config.setdefault("task", task)
+    baselines = baseline_paths or []
 
     if task == "rel":
-        pairs = []
-        for path in dataset_paths:
-            pairs.extend(load_relatedness_pairs(path))
+        pairs = [p for path in dataset_paths for p in load_relatedness_pairs(path)]
         rows = rel_mod.score_pairs(pairs, graph, store, params, system, on_unknown)
-        value, n = _rel_metric(rows)
-        report = EvalReport(name, "spearman", value, n, config)
-        report.extras["skipped_pairs"] = sum(1 for r in rows if r[3] is None)
-        for base in baseline_paths or []:
-            base_scores = load_rel_predictions(base)
-            joint = [(g, s, base_scores[(t1, t2)]) for t1, t2, g, s in rows
-                     if s is not None and (t1, t2) in base_scores]
-            if len(joint) < 4:
-                raise DataError(f"baseline {base} shares too few scored pairs")
-            r2 = spearman([g for g, _, _ in joint], [b for _, _, b in joint])
-            p = fisher_z_test(value, r2, n, len(joint))
-            report.significance.append({
-                "baseline": base, "baseline_value": r2, "p_value": p,
-                "significant": p < SIGNIFICANCE_LEVEL,
-                "test": "fisher-z-two-sided",
-            })
-        return report, rows
+        return rel_run_report(name, rows, baselines, config), rows
 
     if task != "ned":
         raise ValueError(f"unknown task {task!r}")
 
-    queries = []
-    for path in dataset_paths:
-        queries.extend(ned_mod.load_queries(path))
+    queries = [q for path in dataset_paths for q in ned_mod.load_queries(path)]
     preds = ned_mod.run_batch(queries, graph, store, params, system,
                               workers=workers, nodes=nodes,
                               include_target=include_target)
-    gold = {q.query_id: q.gold_title for q in queries}
-    acc = accuracy(preds, gold, nodes, redirects)
-    report = EvalReport(name, "accuracy", acc.value, acc.n, config)
-    report.extras["fallback_count"] = sum(1 for p in preds if p.fallback_used)
-    report.extras["fallback_rate"] = report.extras["fallback_count"] / len(preds)
-    report.extras["nil_predictions"] = sum(1 for p in preds if p.predicted is None)
-    for base in baseline_paths or []:
-        base_titles = load_ned_predictions(base)
-        ours, theirs = [], []
-        for p in preds:
-            if _is_nil(gold[p.query_id]):
-                continue
-            if p.query_id not in base_titles:
-                raise DataError(f"baseline {base} is missing query {p.query_id}")
-            mine = (nodes.title_of(p.predicted) if p.predicted is not None else "NIL")
-            ours.append(_map_title(mine, redirects) == gold[p.query_id])
-            theirs.append(_map_title(base_titles[p.query_id], redirects) == gold[p.query_id])
-        p_val = paired_bootstrap(ours, theirs, resamples, seed)
-        report.significance.append({
-            "baseline": base,
-            "baseline_value": sum(theirs) / len(theirs),
-            "p_value": p_val,
-            "significant": p_val < SIGNIFICANCE_LEVEL,
-            "test": "paired-bootstrap-one-sided",
-            "resamples": resamples, "seed": seed,
-        })
-    return report, preds
+    return ned_run_report(name, queries, preds, nodes, baselines, config,
+                          redirects, resamples, seed), preds
 
 
 def compare_prediction_files(task: str, dataset_paths: list[str],
@@ -340,67 +346,17 @@ def compare_prediction_files(task: str, dataset_paths: list[str],
     name = dataset_name or "+".join(dataset_paths)
     config = dict(config or {})
     config.setdefault("task", task)
+    baselines = baseline_paths or []
 
     if task == "rel":
-        pairs = []
-        for path in dataset_paths:
-            pairs.extend(load_relatedness_pairs(path))
-        scores: dict[tuple[str, str], float] = {}
-        for path in pred_paths:
-            scores.update(load_rel_predictions(path))
-        joint = [(g, scores[(t1, t2)]) for t1, t2, g in pairs
-                 if g is not None and (t1, t2) in scores]
-        if len(joint) < 2:
-            raise DataError("no scored pairs shared between dataset and predictions")
-        value = spearman([g for g, _ in joint], [s for _, s in joint])
-        report = EvalReport(name, "spearman", value, len(joint), config)
-        for base in baseline_paths or []:
-            base_scores = load_rel_predictions(base)
-            bj = [(g, base_scores[(t1, t2)]) for t1, t2, g in pairs
-                  if g is not None and (t1, t2) in base_scores]
-            r2 = spearman([g for g, _ in bj], [s for _, s in bj])
-            p = fisher_z_test(value, r2, len(joint), len(bj))
-            report.significance.append({
-                "baseline": base, "baseline_value": r2, "p_value": p,
-                "significant": p < SIGNIFICANCE_LEVEL,
-                "test": "fisher-z-two-sided",
-            })
-        return report
+        pairs = [p for path in dataset_paths for p in load_relatedness_pairs(path)]
+        scores = {k: v for path in pred_paths for k, v in load_rel_predictions(path).items()}
+        return rel_report(name, pairs, scores, baselines, config)
 
     if task != "ned":
         raise ValueError(f"unknown task {task!r}")
 
-    queries = []
-    for path in dataset_paths:
-        queries.extend(ned_mod.load_queries(path))
-    titles: dict[str, str] = {}
-    for path in pred_paths:
-        titles.update(load_ned_predictions(path))
-    kb_queries, ours = [], []
-    for q in queries:
-        if _is_nil(q.gold_title):
-            continue
-        if q.query_id not in titles:
-            raise DataError(f"predictions are missing query {q.query_id}")
-        ours.append(_map_title(titles[q.query_id], redirects) == q.gold_title)
-        kb_queries.append(q)
-    if not ours:
-        raise DataError("no instance has a gold entity in the knowledge base")
-    report = EvalReport(name, "accuracy", sum(ours) / len(ours), len(ours), config)
-    for base in baseline_paths or []:
-        base_titles = load_ned_predictions(base)
-        theirs = []
-        for q in kb_queries:
-            if q.query_id not in base_titles:
-                raise DataError(f"baseline {base} is missing query {q.query_id}")
-            theirs.append(_map_title(base_titles[q.query_id], redirects) == q.gold_title)
-        p_val = paired_bootstrap(ours, theirs, resamples, seed)
-        report.significance.append({
-            "baseline": base,
-            "baseline_value": sum(theirs) / len(theirs),
-            "p_value": p_val,
-            "significant": p_val < SIGNIFICANCE_LEVEL,
-            "test": "paired-bootstrap-one-sided",
-            "resamples": resamples, "seed": seed,
-        })
-    return report
+    queries = [q for path in dataset_paths for q in ned_mod.load_queries(path)]
+    titles = {k: v for path in pred_paths for k, v in load_ned_predictions(path).items()}
+    return ned_report(name, queries, titles, baselines, config, redirects,
+                      resamples, seed)

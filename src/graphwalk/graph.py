@@ -8,6 +8,7 @@ import struct
 import numpy as np
 
 from .errors import DataError
+from .tsv import read_tsv
 
 EDGE_KINDS = ("H", "I", "C")
 MODES = ("d", "u", "r")
@@ -200,27 +201,17 @@ def load_nodes(path: str) -> NodeTable:
     """Read ``nodes.tsv`` (id, title, kind); ids must be dense and in order."""
     titles: list[str] = []
     kinds: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("id\t"):
-            raise DataError(f"{path}: missing header line")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                nid = int(cols[0])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad node id {cols[0]!r}") from None
-            if nid != len(titles):
-                raise DataError(f"{path}:{lineno}: node ids must be dense and ordered")
-            if cols[2] not in NODE_KIND_NAMES:
-                raise DataError(f"{path}:{lineno}: unknown node kind {cols[2]!r}")
-            titles.append(cols[1])
-            kinds.append(NODE_KIND_NAMES.index(cols[2]))
+    for lineno, cols in read_tsv(path, 3, 3, header="id\t"):
+        try:
+            nid = int(cols[0])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad node id {cols[0]!r}") from None
+        if nid != len(titles):
+            raise DataError(f"{path}:{lineno}: node ids must be dense and ordered")
+        if cols[2] not in NODE_KIND_NAMES:
+            raise DataError(f"{path}:{lineno}: unknown node kind {cols[2]!r}")
+        titles.append(cols[1])
+        kinds.append(NODE_KIND_NAMES.index(cols[2]))
     return NodeTable(titles, kinds)
 
 
@@ -229,23 +220,15 @@ def load_edge_file(path: str, nodes: NodeTable, kind: str) -> TypedGraph:
     n = len(nodes)
     src: list[int] = []
     dst: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                a, b = int(cols[0]), int(cols[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad node id") from None
-            if not (0 <= a < n and 0 <= b < n):
-                raise DataError(f"{path}:{lineno}: edge ({a},{b}) references unknown node id")
-            src.append(a)
-            dst.append(b)
+    for lineno, cols in read_tsv(path, 2, 2):
+        try:
+            a, b = int(cols[0]), int(cols[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad node id") from None
+        if not (0 <= a < n and 0 <= b < n):
+            raise DataError(f"{path}:{lineno}: edge ({a},{b}) references unknown node id")
+        src.append(a)
+        dst.append(b)
     return TypedGraph.from_arcs(n, np.array(src, dtype=np.int64),
                                 np.array(dst, dtype=np.int64),
                                 nodes.kinds, kind + "d")

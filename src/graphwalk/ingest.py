@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 
 from .dictionary import normalize_mention
 from .errors import DataError
+from .tsv import read_tsv
 
 PAGE_KINDS = ("article", "category", "redirect", "disambiguation")
 LINK_KINDS = ("H", "I", "C")
@@ -62,72 +63,50 @@ def read_pages(path: str, tallies: Counter | None = None) -> dict[str, PageRecor
     tallies = tallies if tallies is not None else Counter()
     pages: dict[str, PageRecord] = {}
     seen_ids: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) not in (3, 4):
-                raise DataError(f"{path}:{lineno}: expected 3 or 4 columns")
-            try:
-                page_id = int(cols[0])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad page id {cols[0]!r}") from None
-            title, kind = cols[1], cols[2]
-            target = cols[3] if len(cols) == 4 and cols[3] != "" else None
-            if page_id < 0 or not title:
-                raise DataError(f"{path}:{lineno}: bad page record")
-            if kind not in PAGE_KINDS:
-                tallies["pages_dropped_namespace"] += 1
-                continue
-            if kind == "redirect" and target is None:
-                raise DataError(f"{path}:{lineno}: redirect without target")
-            if kind != "redirect" and target is not None:
-                raise DataError(f"{path}:{lineno}: redirect_target on non-redirect")
-            if _CONTROL_RE.search(title) or (target and _CONTROL_RE.search(target)):
-                tallies["pages_rejected_control_chars"] += 1
-                continue
-            if title in pages:
-                raise DataError(f"{path}:{lineno}: duplicate title {title!r}")
-            if page_id in seen_ids:
-                raise DataError(f"{path}:{lineno}: duplicate page id {page_id}")
-            seen_ids.add(page_id)
-            pages[title] = PageRecord(page_id, title, kind, target)
+    for lineno, cols in read_tsv(path, 3, 4):
+        try:
+            page_id = int(cols[0])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad page id {cols[0]!r}") from None
+        title, kind = cols[1], cols[2]
+        target = cols[3] if len(cols) == 4 and cols[3] != "" else None
+        if page_id < 0 or not title:
+            raise DataError(f"{path}:{lineno}: bad page record")
+        if kind not in PAGE_KINDS:
+            tallies["pages_dropped_namespace"] += 1
+            continue
+        if kind == "redirect" and target is None:
+            raise DataError(f"{path}:{lineno}: redirect without target")
+        if kind != "redirect" and target is not None:
+            raise DataError(f"{path}:{lineno}: redirect_target on non-redirect")
+        if _CONTROL_RE.search(title) or (target and _CONTROL_RE.search(target)):
+            tallies["pages_rejected_control_chars"] += 1
+            continue
+        if title in pages:
+            raise DataError(f"{path}:{lineno}: duplicate title {title!r}")
+        if page_id in seen_ids:
+            raise DataError(f"{path}:{lineno}: duplicate page id {page_id}")
+        seen_ids.add(page_id)
+        pages[title] = PageRecord(page_id, title, kind, target)
     return pages
 
 
 def iter_links(path: str) -> Iterator[RawLinkRecord]:
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3 or cols[2] not in LINK_KINDS:
-                raise DataError(f"{path}:{lineno}: bad link record")
-            yield RawLinkRecord(cols[0], cols[1], cols[2])
+    for lineno, cols in read_tsv(path, 3, 3):
+        if cols[2] not in LINK_KINDS:
+            raise DataError(f"{path}:{lineno}: bad link kind {cols[2]!r}")
+        yield RawLinkRecord(cols[0], cols[1], cols[2])
 
 
 def iter_anchors(path: str) -> Iterator[AnchorRecord]:
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                count = int(cols[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad count {cols[2]!r}") from None
-            if count < 1:
-                raise DataError(f"{path}:{lineno}: anchor count must be >= 1")
-            yield AnchorRecord(cols[0], cols[1], count)
+    for lineno, cols in read_tsv(path, 3, 3):
+        try:
+            count = int(cols[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad count {cols[2]!r}") from None
+        if count < 1:
+            raise DataError(f"{path}:{lineno}: anchor count must be >= 1")
+        yield AnchorRecord(cols[0], cols[1], count)
 
 
 class RedirectMap:

@@ -17,6 +17,7 @@ from .errors import DataError
 from .graph import NodeTable, TypedGraph
 from .ppr import PprParams, build_teleport, run_ppr
 from .relatedness import ngd_relatedness
+from .tsv import read_tsv
 
 CONTEXT_HALF_WINDOW = 50  # tokens on each side of the target (101-token window)
 
@@ -175,16 +176,6 @@ def mfs_baseline(query: NedQuery, store, resolver=None,
     return _prior_prediction(query, entry, fallback=False)
 
 
-_SYSTEMS = {
-    "ppr": lambda q, graph, store, params, resolver, nodes, include_target:
-        disambiguate(q, graph, store, params, resolver, nodes, include_target),
-    "ngd": lambda q, graph, store, params, resolver, nodes, include_target:
-        ngd_disambiguate(q, graph, store, resolver, nodes),
-    "mfs": lambda q, graph, store, params, resolver, nodes, include_target:
-        mfs_baseline(q, store, resolver, nodes),
-}
-
-
 def run_batch(queries: list[NedQuery], graph: TypedGraph, store,
               params: PprParams | None = None, system: str = "ppr",
               workers: int = 1, resolver=None, nodes: NodeTable | None = None,
@@ -194,12 +185,15 @@ def run_batch(queries: list[NedQuery], graph: TypedGraph, store,
     Queries are independent over the shared immutable graph and dictionary,
     so results do not depend on the worker count.
     """
-    if system not in _SYSTEMS:
+    if system not in ("ppr", "ngd", "mfs"):
         raise ValueError(f"unknown NED system {system!r}")
-    fn = _SYSTEMS[system]
 
     def one(q: NedQuery) -> NedPrediction:
-        return fn(q, graph, store, params, resolver, nodes, include_target)
+        if system == "ppr":
+            return disambiguate(q, graph, store, params, resolver, nodes, include_target)
+        if system == "ngd":
+            return ngd_disambiguate(q, graph, store, resolver, nodes)
+        return mfs_baseline(q, store, resolver, nodes)
 
     if workers <= 1:
         return [one(q) for q in queries]
@@ -232,35 +226,32 @@ def load_queries(path: str, context_dir: str | None = None) -> list[NedQuery]:
     Context files are plain UTF-8 text, resolved relative to ``context_dir``
     (default: the TSV's directory) and tokenized on whitespace. Without a
     character offset the first occurrence of the mention locates the target.
+    Query ids must be unique within the file.
     """
     base = context_dir if context_dir is not None else os.path.dirname(os.path.abspath(path))
     queries: list[NedQuery] = []
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) < 3:
-                raise DataError(f"{path}:{lineno}: expected at least 3 columns")
-            query_id, mention, context_file = cols[0], cols[1], cols[2]
-            offset = None
-            if len(cols) > 3 and cols[3] != "":
-                try:
-                    offset = int(cols[3])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad char offset {cols[3]!r}") from None
-            gold = cols[4] if len(cols) > 4 and cols[4] != "" else None
-            ctx_path = os.path.join(base, context_file)
+    seen: set[str] = set()
+    for lineno, cols in read_tsv(path, 3, None):
+        query_id, mention, context_file = cols[0], cols[1], cols[2]
+        if query_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate query id {query_id!r}")
+        seen.add(query_id)
+        offset = None
+        if len(cols) > 3 and cols[3] != "":
             try:
-                with open(ctx_path, encoding="utf-8") as ctx:
-                    text = ctx.read()
-            except OSError as exc:
-                raise DataError(f"{path}:{lineno}: cannot read context file: {exc}") from None
-            tokens = text.split()
-            target = _target_index(text, tokens, mention, offset) if tokens else 0
-            queries.append(NedQuery(query_id, mention, tuple(tokens), target, gold))
+                offset = int(cols[3])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad char offset {cols[3]!r}") from None
+        gold = cols[4] if len(cols) > 4 and cols[4] != "" else None
+        ctx_path = os.path.join(base, context_file)
+        try:
+            with open(ctx_path, encoding="utf-8") as ctx:
+                text = ctx.read()
+        except OSError as exc:
+            raise DataError(f"{path}:{lineno}: cannot read context file: {exc}") from None
+        tokens = text.split()
+        target = _target_index(text, tokens, mention, offset) if tokens else 0
+        queries.append(NedQuery(query_id, mention, tuple(tokens), target, gold))
     return queries
 
 

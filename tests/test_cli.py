@@ -285,3 +285,58 @@ def test_data_error_for_missing_file(tmp_path, capsys):
                "--anchors", str(tmp_path / "nope.tsv"),
                "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+REL_GOLD = [("a", "b", 3.0), ("c", "d", 2.0), ("e", "f", 1.0), ("g", "h", 0.5),
+            ("i", "j", 0.2)]
+
+
+@pytest.mark.parametrize("scores, base_scores, message", [
+    ([0.9, 0.4, 0.7, 0.1, 0.3], [0.1, 0.6, 0.5, "NA", "NA"],
+     "needs 4 scored gold pairs on each side, got 5 and 3"),
+    ([0.5] * 5, [0.1, 0.6, 0.5, 0.2, 0.3], "zero variance in ranks"),
+    ([0.9, "zz", 0.7, 0.1, 0.3], [0.1, 0.6, 0.5, 0.2, 0.3], "preds.tsv:3: bad score 'zz'"),
+    (None, None, "predictions: need at least 2 pairs"),  # `rel --report`, one gold pair
+], ids=["baseline_under_4_pairs", "constant_scores", "non_numeric_score",
+        "rel_report_one_pair"])
+def test_scoring_errors_are_data_errors(workspace, tmp_path, capsys, scores,
+                                        base_scores, message):
+    pairs = tmp_path / "pairs.tsv"
+    if scores is None:
+        write_tsv(pairs, "term1\tterm2\tgold", [("alan kourie", "lions", 3.0)])
+        argv = ["rel", "--data", str(workspace["data"]), "--pairs", str(pairs),
+                "--out", str(tmp_path / "out.tsv"), "--report", str(tmp_path / "r.json")]
+    else:
+        write_tsv(pairs, "term1\tterm2\tgold", REL_GOLD)
+        for name, column in (("preds.tsv", scores), ("base.tsv", base_scores)):
+            write_tsv(tmp_path / name, "term1\tterm2\tgold\tscore",
+                      [(*row, s) for row, s in zip(REL_GOLD, column)])
+        argv = ["eval", "--task", "rel", "--dataset", str(pairs),
+                "--preds", str(tmp_path / "preds.tsv"),
+                "--baseline", str(tmp_path / "base.tsv")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, config, code, message", [
+    ("rel", ["--alpha", "1.5"], None, 1, "alpha must be in (0,1)"),
+    ("ned", ["--iterations", "-1"], None, 1, "iterations must be >= 0"),
+    ("sweep", ["--alphas", "1.5"], None, 1, "alpha must be in (0,1)"),
+    ("ned", [], "alpha=abc\n", 2, "run.cfg:1: bad value 'abc' for 'alpha'"),
+    ("rel", [], "# walk\nprior=maybe\n", 2, "run.cfg:2: bad value 'maybe' for 'prior'"),
+], ids=["alpha_flag", "negative_iterations", "sweep_alphas", "config_alpha",
+        "config_prior"])
+def test_bad_walk_parameters_stop_before_any_output(workspace, tmp_path, capsys, command,
+                                                    flags, config, code, message):
+    inputs = {"rel": ["--pairs", str(workspace["pairs"])],
+              "ned": ["--queries", str(workspace["queries"])],
+              "sweep": ["--task", "ned", "--dataset", str(workspace["queries"])]}
+    out = tmp_path / "out"
+    argv = [command, "--data", str(workspace["data"]), *inputs[command],
+            "--out", str(out), *flags]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -250,3 +250,11 @@ def test_build_rejects_bad_rows(tmp_path):
     path.write_text("mention\tarticle_id\tcount\nm\t99\t3\n", encoding="utf-8")
     with pytest.raises(DataError):
         Dictionary.build(str(path), n_nodes=10)
+
+
+def test_load_rejects_truncated_snapshot(tmp_path, gotham_dict):
+    path = tmp_path / "dict.gwdict"
+    gotham_dict.save(str(path))
+    path.write_bytes(path.read_bytes()[:-7])
+    with pytest.raises(DataError, match="truncated"):
+        Dictionary.load(str(path))

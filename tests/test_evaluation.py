@@ -11,7 +11,8 @@ from graphwalk.evaluation import (AccuracyResult, EvalReport, accuracy,
                                   load_redirect_map, load_relatedness_pairs,
                                   paired_bootstrap, run_eval, spearman)
 from graphwalk.graph import NodeTable
-from graphwalk.ned import NedPrediction
+from graphwalk.ingest import REDIRECT_DEPTH_CAP
+from graphwalk.ned import NedPrediction, load_queries, run_batch, write_predictions
 
 from conftest import spearman_oracle
 
@@ -323,3 +324,67 @@ def test_compare_prediction_files_rel(tmp_path, lions):
     report = compare_prediction_files("rel", [str(ds)], [str(preds)], [str(base)])
     assert report.value == pytest.approx(0.8)
     assert report.significance[0]["test"] == "fisher-z-two-sided"
+
+
+def test_redirect_cycle_maps_to_the_last_title_before_the_repeat():
+    nodes = NodeTable(["A", "t0"], np.zeros(2, dtype=np.uint8))
+    cycle = {"A": "B", "B": "C", "C": "A"}
+    assert accuracy([pred("q", 0)], {"q": "C"}, nodes, cycle).value == 1.0
+    # a chain longer than the ingest depth cap stops after the cap
+    chain = {f"t{i}": f"t{i + 1}" for i in range(2 * REDIRECT_DEPTH_CAP)}
+    gold = {"q": f"t{REDIRECT_DEPTH_CAP}"}
+    assert accuracy([pred("q", 1)], gold, nodes, chain).value == 1.0
+
+
+def test_run_eval_ned_without_params_predicts_what_run_batch_predicts(lions, tmp_path):
+    graph, store, nodes, query = lions
+    (tmp_path / "doc.txt").write_text(" ".join(query.context_tokens), encoding="utf-8")
+    ds = tmp_path / "queries.tsv"
+    ds.write_text("query_id\tmention\tcontext_file\tchar_offset\tgold_title\n"
+                  "q0\tLions\tdoc.txt\t\tHighveld_Lions\n"
+                  "q1\tFletcher\tdoc.txt\t\tDuncan_Fletcher\n", encoding="utf-8")
+    _, preds = run_eval("ned", "ppr", [str(ds)], graph=graph, store=store, nodes=nodes)
+    assert preds == run_batch(load_queries(str(ds)), graph, store, nodes=nodes)
+
+
+def test_run_eval_and_eval_score_a_rel_run_alike(lions, tmp_path):
+    # the walk skips the unknown term; the baseline scored every pair, and
+    # each side is correlated over the gold pairs it scored
+    graph, store, nodes, _ = lions
+    ds = tmp_path / "pairs.tsv"
+    rows = [("alan kourie", "lions", 3.0), ("cape town", "lions", 2.0),
+            ("fletcher", "cape town", 1.5), ("alan kourie", "cape town", 0.5),
+            ("fletcher", "lions", 2.5), ("zzqx", "lions", 0.2)]
+    ds.write_text("term1\tterm2\tgold\n" + "".join(f"{a}\t{b}\t{g}\n" for a, b, g in rows),
+                  encoding="utf-8")
+    base = tmp_path / "base.tsv"
+    base.write_text("term1\tterm2\tgold\tscore\n" + "".join(
+        f"{a}\t{b}\t{g}\t{s}\n" for (a, b, g), s in zip(rows, [0.9, 0.2, 0.5, 0.1, 0.3, 0.4])),
+        encoding="utf-8")
+    report, scored = run_eval("rel", "ppr", [str(ds)], graph=graph, store=store,
+                              nodes=nodes, baseline_paths=[str(base)])
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("term1\tterm2\tgold\tscore\n" + "".join(
+        f"{a}\t{b}\t{g}\t{'NA' if s is None else repr(s)}\n" for a, b, g, s in scored),
+        encoding="utf-8")
+    again = compare_prediction_files("rel", [str(ds)], [str(preds)], [str(base)])
+    assert report.n == again.n == 5
+    assert report.extras == {"skipped_pairs": 1}
+    assert report.value == again.value
+    assert report.significance == again.significance
+    assert report.significance[0]["baseline_value"] == pytest.approx(
+        spearman([r[2] for r in rows], [0.9, 0.2, 0.5, 0.1, 0.3, 0.4]))
+
+
+def test_pooled_datasets_with_repeated_query_ids_are_rejected(lions, tmp_path):
+    graph, store, nodes, query = lions
+    (tmp_path / "doc.txt").write_text(" ".join(query.context_tokens), encoding="utf-8")
+    for name in ("a.tsv", "b.tsv"):
+        (tmp_path / name).write_text("query_id\tmention\tcontext_file\n"
+                                     "q0\tLions\tdoc.txt\n", encoding="utf-8")
+    preds = tmp_path / "preds.tsv"
+    write_predictions(run_batch(load_queries(str(tmp_path / "a.tsv")), graph, store),
+                      nodes, str(preds))
+    with pytest.raises(DataError, match="repeat across the pooled datasets"):
+        compare_prediction_files("ned", [str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")],
+                                 [str(preds)])

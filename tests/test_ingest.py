@@ -8,7 +8,7 @@ import pytest
 from graphwalk.errors import DataError
 from graphwalk.ingest import (AnchorRecord, PageRecord, RawLinkRecord,
                               RedirectMap, expand_disambiguation_anchors,
-                              iter_anchors, read_pages, resolve_redirects,
+                              iter_anchors, iter_links, read_pages, resolve_redirects,
                               run_ingest)
 
 from conftest import write_tsv
@@ -348,3 +348,10 @@ def test_redirect_map_statuses():
     assert rmap.resolve("Bad") == (None, "unknown")
     assert rmap.resolve("C1") == (None, "cycle")
     assert rmap.resolve("Ghost") == (None, "unknown")
+
+
+def test_iter_links_rejects_unknown_kind(tmp_path):
+    write_tsv(tmp_path / "l.tsv", "src_title\tdst_title\tkind",
+              [("A", "B", "H"), ("A", "C", "X")])
+    with pytest.raises(DataError, match=r"l\.tsv:3: bad link kind 'X'"):
+        list(iter_links(str(tmp_path / "l.tsv")))

@@ -338,3 +338,13 @@ def test_resolver_network_failure_returns_none(tmp_path):
                                   str(tmp_path / "c.json"), timeout=0.2,
                                   min_interval=0.0)
     assert resolver.resolve("anything") is None
+
+
+def test_load_queries_rejects_duplicate_ids(tmp_path):
+    (tmp_path / "doc.txt").write_text("the Lions played", encoding="utf-8")
+    tsv = tmp_path / "queries.tsv"
+    tsv.write_text("query_id\tmention\tcontext_file\n"
+                   "q1\tLions\tdoc.txt\nq2\tLions\tdoc.txt\nq1\tLions\tdoc.txt\n",
+                   encoding="utf-8")
+    with pytest.raises(gw.DataError, match=r"queries\.tsv:4: duplicate query id 'q1'"):
+        load_queries(str(tsv))
