@@ -28,9 +28,9 @@ from .errors import DataError
 from .ppr import PprParams
 
 REL_DEFAULTS = {"spec": "Hr", "alpha": 0.85, "iterations": 30, "k": 5000,
-                "prior": True, "seed": 0, "resamples": eval_mod.DEFAULT_RESAMPLES}
+                "prior": True, "seed": 0}
 NED_DEFAULTS = {"spec": "Hr", "alpha": 0.85, "iterations": 15, "k": None,
-                "prior": True, "seed": 0, "resamples": eval_mod.DEFAULT_RESAMPLES}
+                "prior": True, "seed": 0}
 
 
 class UsageError(Exception):
@@ -63,7 +63,7 @@ def _parse_config_file(path: str) -> dict:
 def _coerce(key: str, raw: str):
     if key == "alpha":
         return float(raw)
-    if key in ("iterations", "seed", "resamples"):
+    if key in ("iterations", "seed"):
         return int(raw)
     if key == "k":
         return None if raw.lower() in ("none", "") else int(raw)
@@ -229,11 +229,14 @@ def cmd_ned(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.resamples < eval_mod.MIN_RESAMPLES:
+        raise UsageError(f"--resamples must be >= {eval_mod.MIN_RESAMPLES}")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     redirects = eval_mod.load_redirect_map(args.redirects) if args.redirects else None
     report = eval_mod.compare_prediction_files(
         args.task, args.dataset, args.preds, args.baseline or None,
-        redirects=redirects, resamples=args.resamples or eval_mod.DEFAULT_RESAMPLES,
-        seed=args.seed if args.seed is not None else 0)
+        redirects=redirects, resamples=args.resamples, seed=args.seed)
     print(f"{report.metric} {report.value:.4f} on n={report.n}")
     for sig in report.significance:
         marker = "significant" if sig["significant"] else "not significant"
@@ -394,8 +397,8 @@ def build_parser() -> _Parser:
     p.add_argument("--preds", action="append", required=True)
     p.add_argument("--baseline", action="append")
     p.add_argument("--redirects")
-    p.add_argument("--resamples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--resamples", type=int, default=eval_mod.DEFAULT_RESAMPLES)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
     p.set_defaults(func=cmd_eval)
 

@@ -15,6 +15,8 @@ from .tsv import read_tsv
 _MAGIC = b"GWDICT1"
 # one candidate as stored by both backends: article id, count, prior
 _TRIPLE = struct.Struct("<IQd")
+_HEADER = struct.Struct("<QQQQ")  # entries, max token length, string bytes, triples
+_OFFSET = struct.Struct("<QII")   # per entry: string offset, string length, triples
 _WS_RE = re.compile(r"\s+")
 
 
@@ -53,29 +55,6 @@ def normalize_mention(raw: str) -> str:
     return _WS_RE.sub(" ", "".join(out)).strip().lower()
 
 
-def _make_entries(counts: dict[str, dict[int, int]]) -> dict[str, DictEntry]:
-    """Merge raw-mention counts under normalization and compute priors."""
-    merged: dict[str, dict[int, int]] = {}
-    for raw, per_article in counts.items():
-        m = normalize_mention(raw)
-        if not m:
-            continue
-        slot = merged.setdefault(m, {})
-        for article, count in per_article.items():
-            if count > 0:
-                slot[article] = slot.get(article, 0) + count
-    entries: dict[str, DictEntry] = {}
-    for m in sorted(merged):
-        per_article = merged[m]
-        total = sum(per_article.values())
-        if total <= 0:
-            continue
-        cands = sorted(((a, c, c / total) for a, c in per_article.items()),
-                       key=lambda t: (-t[2], t[0]))
-        entries[m] = DictEntry(m, tuple(Candidate(*t) for t in cands))
-    return entries
-
-
 class Dictionary:
     """In-memory mention -> candidate-article store with prior probabilities."""
 
@@ -85,9 +64,6 @@ class Dictionary:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, mention: str) -> bool:
-        return mention in self.entries
 
     def get(self, mention: str):
         """Exact lookup by already-normalized mention."""
@@ -100,7 +76,26 @@ class Dictionary:
 
     @classmethod
     def from_counts(cls, counts: dict[str, dict[int, int]]) -> "Dictionary":
-        return cls(_make_entries(counts))
+        """Merge raw-mention counts under normalization and compute priors."""
+        merged: dict[str, dict[int, int]] = {}
+        for raw, per_article in counts.items():
+            m = normalize_mention(raw)
+            if not m:
+                continue
+            slot = merged.setdefault(m, {})
+            for article, count in per_article.items():
+                if count > 0:
+                    slot[article] = slot.get(article, 0) + count
+        entries: dict[str, DictEntry] = {}
+        for m in sorted(merged):
+            per_article = merged[m]
+            total = sum(per_article.values())
+            if total <= 0:
+                continue
+            cands = sorted(((a, c, c / total) for a, c in per_article.items()),
+                           key=lambda t: (-t[2], t[0]))
+            entries[m] = DictEntry(m, tuple(Candidate(*t) for t in cands))
+        return cls(entries)
 
     @classmethod
     def build(cls, counts_path: str, n_nodes: int | None = None) -> "Dictionary":
@@ -126,40 +121,44 @@ class Dictionary:
         n_triples = 0
         for m in mentions:
             mb = m.encode("utf-8")
-            offsets += struct.pack("<QII", len(strtab), len(mb),
-                                   len(self.entries[m].candidates))
+            offsets += _OFFSET.pack(len(strtab), len(mb), len(self.entries[m].candidates))
             strtab += mb
             for c in self.entries[m].candidates:
                 triples += _TRIPLE.pack(c.article, c.count, c.prior)
                 n_triples += 1
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<QQQQ", len(mentions), self.max_token_len,
-                                 len(strtab), n_triples))
+            fh.write(_HEADER.pack(len(mentions), self.max_token_len, len(strtab), n_triples))
             fh.write(bytes(offsets))
             fh.write(bytes(strtab))
             fh.write(bytes(triples))
 
     @classmethod
     def load(cls, path: str) -> "Dictionary":
+        """Read a ``save`` file; a short, padded or undecodable one is a DataError."""
         with open(path, "rb") as fh:
-            if fh.read(len(_MAGIC)) != _MAGIC:
-                raise DataError(f"{path}: not a dictionary snapshot")
-            n_entries, _max_len, strtab_len, n_triples = struct.unpack("<QQQQ", fh.read(32))
-            offs = [struct.unpack("<QII", fh.read(16)) for _ in range(n_entries)]
-            strtab = fh.read(strtab_len)
-            blob = fh.read(n_triples * _TRIPLE.size)
-        if len(blob) != n_triples * _TRIPLE.size:
-            raise DataError(f"{path}: truncated dictionary snapshot")
-        triples = list(map(Candidate._make, _TRIPLE.iter_unpack(blob)))
-        entries: dict[str, DictEntry] = {}
-        pos = 0
-        for str_off, str_len, n_cand in offs:
-            m = strtab[str_off:str_off + str_len].decode("utf-8")
-            entries[m] = DictEntry(m, tuple(triples[pos:pos + n_cand]))
-            pos += n_cand
+            data = fh.read()
+        if not data.startswith(_MAGIC):
+            raise DataError(f"{path}: not a dictionary snapshot")
+        try:
+            n_entries, _max_len, strtab_len, n_triples = _HEADER.unpack_from(data, len(_MAGIC))
+            offs_at = len(_MAGIC) + _HEADER.size
+            strtab_at = offs_at + n_entries * _OFFSET.size
+            triples_at = strtab_at + strtab_len
+            if triples_at + n_triples * _TRIPLE.size != len(data):
+                raise ValueError("snapshot size does not match its header")
+            strtab = data[strtab_at:triples_at]
+            triples = list(map(Candidate._make, _TRIPLE.iter_unpack(data[triples_at:])))
+            entries: dict[str, DictEntry] = {}
+            pos = 0
+            for str_off, str_len, n_cand in _OFFSET.iter_unpack(data[offs_at:strtab_at]):
+                m = strtab[str_off:str_off + str_len].decode("utf-8")
+                entries[m] = DictEntry(m, tuple(triples[pos:pos + n_cand]))
+                pos += n_cand
+        except (struct.error, ValueError):
+            raise DataError(f"{path}: truncated or corrupt snapshot") from None
         if pos != n_triples:
-            raise DataError(f"{path}: truncated dictionary snapshot")
+            raise DataError(f"{path}: truncated or corrupt snapshot")
         return cls(entries)
 
 
@@ -197,9 +196,6 @@ class SqliteDictionary:
     def lookup(self, raw: str):
         m = normalize_mention(raw)
         return self.get(m) if m else None
-
-    def __contains__(self, mention: str) -> bool:
-        return self.get(mention) is not None
 
     @classmethod
     def create(cls, dictionary: Dictionary, path: str) -> "SqliteDictionary":

@@ -16,11 +16,12 @@ from . import ned as ned_mod
 from . import relatedness as rel_mod
 from .errors import DataError
 from .graph import NodeTable, TypedGraph
-from .ingest import REDIRECT_DEPTH_CAP
+from .ingest import RedirectMap
 from .ppr import PprParams
 from .tsv import read_tsv
 
 DEFAULT_RESAMPLES = 10_000
+MIN_RESAMPLES = 1000
 SIGNIFICANCE_LEVEL = 0.05
 
 
@@ -51,19 +52,28 @@ def _is_nil(title: str | None) -> bool:
     return title is None or title == "" or title.upper() == "NIL"
 
 
-def _map_title(title: str, redirects: dict[str, str] | None) -> str:
-    """Follow version redirects for at most REDIRECT_DEPTH_CAP hops; a cycle
-    maps to the last title before the repeat."""
-    if not redirects:
-        return title
-    seen = {title}
-    for _ in range(REDIRECT_DEPTH_CAP):
-        nxt = redirects.get(title)
-        if nxt is None or nxt in seen:
-            return title
-        seen.add(nxt)
-        title = nxt
-    return title
+def _outcomes(gold, titles: dict[str, str], redirects: dict[str, str] | None,
+              source: str) -> list[bool]:
+    """Whether the predicted title matches, per (query_id, gold_title) pair
+    whose gold title is a knowledge-base entity.
+
+    Predicted titles are mapped through the version redirects (old title ->
+    new title) by the ingest chain rule: a target that is not itself an old
+    title is final, and a title whose chain cycles or exceeds the depth cap
+    is compared unmapped.
+    """
+    kb_gold = [(query_id, title) for query_id, title in gold if not _is_nil(title)]
+    if not kb_gold:
+        raise DataError("no instance has a gold entity in the knowledge base")
+    redirects = redirects or {}
+    vmap = RedirectMap({**dict.fromkeys(redirects.values()), **redirects})
+    outcomes = []
+    for query_id, gold_title in kb_gold:
+        if query_id not in titles:
+            raise DataError(f"{source}: no prediction for query {query_id!r}")
+        title = titles[query_id]
+        outcomes.append((vmap.resolve(title)[0] or title) == gold_title)
+    return outcomes
 
 
 def accuracy(preds: list, gold: dict[str, str | None], nodes: NodeTable,
@@ -78,18 +88,9 @@ def accuracy(preds: list, gold: dict[str, str | None], nodes: NodeTable,
     if pred_ids != set(gold):
         missing = set(gold) ^ pred_ids
         raise DataError(f"query id mismatch between predictions and gold: {sorted(missing)[:5]}")
-    correct: list[bool] = []
-    for p in preds:
-        gold_title = gold[p.query_id]
-        if _is_nil(gold_title):
-            continue
-        if p.predicted is None:
-            correct.append(False)
-            continue
-        title = _map_title(nodes.title_of(p.predicted), redirects)
-        correct.append(title == gold_title)
-    if not correct:
-        raise DataError("no instance has a gold entity in the knowledge base")
+    titles = {p.query_id: p.title(nodes) for p in preds}
+    correct = _outcomes([(p.query_id, gold[p.query_id]) for p in preds], titles,
+                        redirects, "predictions")
     return AccuracyResult(sum(correct) / len(correct), len(correct), tuple(correct))
 
 
@@ -126,8 +127,8 @@ def paired_bootstrap(goldmatch_a, goldmatch_b, resamples: int = DEFAULT_RESAMPLE
         raise ValueError("paired bootstrap needs equal-length outcome lists")
     if len(a) < 1:
         raise ValueError("paired bootstrap needs at least one instance")
-    if resamples < 1000:
-        raise ValueError("resamples must be >= 1000")
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"resamples must be >= {MIN_RESAMPLES}")
     delta = a - b
     observed = float(delta.mean())
     if observed == 0.0:
@@ -236,31 +237,22 @@ def rel_report(name: str, pairs, scores_by_pair: dict[tuple[str, str], float],
     return report
 
 
-def _outcomes(queries, titles: dict[str, str], redirects, source: str) -> list[bool]:
-    for q in queries:
-        if q.query_id not in titles:
-            raise DataError(f"{source}: no prediction for query {q.query_id!r}")
-    return [_map_title(titles[q.query_id], redirects) == q.gold_title for q in queries]
-
-
-def ned_report(name: str, queries, titles_by_id: dict[str, str],
+def ned_report(name: str, gold, titles_by_id: dict[str, str],
                baselines: list[str], config: dict,
                redirects: dict[str, str] | None = None,
                resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> EvalReport:
     """Non-NIL accuracy of predicted titles, paired bootstrap per baseline.
 
-    Outcomes are taken per query with a knowledge-base gold entity, in
-    dataset order; predicted titles are redirect-mapped before comparison.
+    ``gold`` holds (query_id, gold_title) pairs in dataset order. Outcomes
+    are taken per query with a knowledge-base gold entity; predicted titles
+    are redirect-mapped before comparison.
     """
-    if len({q.query_id for q in queries}) != len(queries):
+    if len({query_id for query_id, _ in gold}) != len(gold):
         raise DataError("query ids repeat across the pooled datasets")
-    kb_queries = [q for q in queries if not _is_nil(q.gold_title)]
-    if not kb_queries:
-        raise DataError("no instance has a gold entity in the knowledge base")
-    ours = _outcomes(kb_queries, titles_by_id, redirects, "predictions")
+    ours = _outcomes(gold, titles_by_id, redirects, "predictions")
     report = EvalReport(name, "accuracy", sum(ours) / len(ours), len(ours), config)
     for base in baselines:
-        theirs = _outcomes(kb_queries, load_ned_predictions(base), redirects,
+        theirs = _outcomes(gold, load_ned_predictions(base), redirects,
                            f"baseline {base}")
         p_val = paired_bootstrap(ours, theirs, resamples, seed)
         report.significance.append({
@@ -287,10 +279,9 @@ def ned_run_report(name: str, queries, preds, nodes: NodeTable,
                    redirects: dict[str, str] | None = None,
                    resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> EvalReport:
     """``ned_report`` over a run's predictions, plus its fallback and NIL counts."""
-    titles = {p.query_id: nodes.title_of(p.predicted) if p.predicted is not None else "NIL"
-              for p in preds}
-    report = ned_report(name, queries, titles, baselines, config, redirects,
-                        resamples, seed)
+    titles = {p.query_id: p.title(nodes) for p in preds}
+    report = ned_report(name, [(q.query_id, q.gold_title) for q in queries], titles,
+                        baselines, config, redirects, resamples, seed)
     fallback = sum(1 for p in preds if p.fallback_used)
     report.extras["fallback_count"] = fallback
     report.extras["fallback_rate"] = fallback / len(preds)
@@ -358,5 +349,5 @@ def compare_prediction_files(task: str, dataset_paths: list[str],
 
     queries = [q for path in dataset_paths for q in ned_mod.load_queries(path)]
     titles = {k: v for path in pred_paths for k, v in load_ned_predictions(path).items()}
-    return ned_report(name, queries, titles, baselines, config, redirects,
-                      resamples, seed)
+    return ned_report(name, [(q.query_id, q.gold_title) for q in queries], titles,
+                      baselines, config, redirects, resamples, seed)

@@ -273,18 +273,29 @@ def save_snapshot(g: TypedGraph, path: str) -> None:
 
 
 def load_snapshot(path: str) -> TypedGraph:
+    """Read a ``save_snapshot`` file; a short, padded or undecodable one is a DataError."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise DataError(f"{path}: not a graph snapshot")
-        n, m = struct.unpack("<QQ", fh.read(16))
-        offsets = np.frombuffer(fh.read((n + 1) * 8), dtype="<i8").astype(np.int64)
-        neighbors = np.frombuffer(fh.read(m * 4), dtype="<i4").astype(np.int32)
-        bitmap = np.frombuffer(fh.read((n + 7) // 8), dtype=np.uint8)
-        kinds = np.unpackbits(bitmap, bitorder="little", count=n).astype(np.uint8)
-        (spec_len,) = struct.unpack("<I", fh.read(4))
-        spec = fh.read(spec_len).decode("utf-8")
-        (flags_len,) = struct.unpack("<I", fh.read(4))
-        flags = tuple(s for s in fh.read(flags_len).decode("utf-8").split("\n") if s)
-    if len(offsets) != n + 1 or len(neighbors) != m or offsets[-1] != m:
-        raise DataError(f"{path}: truncated or corrupt snapshot")
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(count: int) -> bytes:
+            if fh.tell() + count > size:
+                raise ValueError("snapshot ends early")
+            return fh.read(count)
+
+        try:
+            n, m = struct.unpack("<QQ", take(16))
+            offsets = np.frombuffer(take((n + 1) * 8), dtype="<i8").astype(np.int64)
+            neighbors = np.frombuffer(take(m * 4), dtype="<i4").astype(np.int32)
+            bitmap = np.frombuffer(take((n + 7) // 8), dtype=np.uint8)
+            kinds = np.unpackbits(bitmap, bitorder="little", count=n).astype(np.uint8)
+            (spec_len,) = struct.unpack("<I", take(4))
+            spec = take(spec_len).decode("utf-8")
+            (flags_len,) = struct.unpack("<I", take(4))
+            flags = tuple(s for s in take(flags_len).decode("utf-8").split("\n") if s)
+        except ValueError:
+            raise DataError(f"{path}: truncated or corrupt snapshot") from None
+        if fh.tell() != size or offsets[-1] != m:
+            raise DataError(f"{path}: truncated or corrupt snapshot")
     return TypedGraph(offsets, neighbors, kinds, spec, flags)

@@ -112,34 +112,39 @@ def iter_anchors(path: str) -> Iterator[AnchorRecord]:
 class RedirectMap:
     """Redirect chains followed to a fixed point with a depth cap.
 
-    ``resolve`` returns (final_title, status) where status is "ok",
-    "unknown" (a hop leaves the page set) or "cycle" (a loop, or more than
-    ``depth_cap`` hops from the queried title). Memoization is hop-aware so
-    the result for any title never depends on earlier queries: a title deep
-    inside an over-long chain still resolves when it is within the cap.
+    ``targets`` maps every known title to its redirect target, or to None
+    when the title is not a redirect. ``resolve`` returns (final_title,
+    status) where status is "ok", "unknown" (a hop leaves the known titles)
+    or "cycle" (a loop, or more than REDIRECT_DEPTH_CAP hops from the
+    queried title). Memoization is hop-aware so the result for any title never
+    depends on earlier queries: a title deep inside an over-long chain still
+    resolves when it is within the cap.
     """
 
-    def __init__(self, pages: dict[str, PageRecord], depth_cap: int = REDIRECT_DEPTH_CAP):
-        self._pages = pages
-        self._cap = depth_cap
+    def __init__(self, targets: dict[str, str | None]):
+        self._targets = targets
         self._memo: dict[str, tuple[str | None, str, int]] = {}
+
+    @classmethod
+    def of_pages(cls, pages: dict[str, PageRecord]) -> "RedirectMap":
+        return cls({title: page.redirect_target for title, page in pages.items()})
 
     def resolve(self, title: str) -> tuple[str | None, str]:
         memo = self._memo
         if title in memo:
             final, status, _ = memo[title]
             return final, status
+        targets = self._targets
         chain = [title]
         current = title
-        for _ in range(self._cap + 1):
-            page = self._pages.get(current)
-            if page is None:
+        for _ in range(REDIRECT_DEPTH_CAP + 1):
+            if current not in targets:
                 status, final, extra = "unknown", None, 0
                 break
-            if page.kind != "redirect":
+            nxt = targets[current]
+            if nxt is None:
                 status, final, extra = "ok", current, 0
                 break
-            nxt = page.redirect_target
             if nxt in chain:
                 status, final, extra = "cycle", None, 0
                 break
@@ -154,7 +159,7 @@ class RedirectMap:
             return None, "cycle"
         for i, t in enumerate(chain):
             hops = (len(chain) - 1 - i) + extra
-            if status == "ok" and hops <= self._cap:
+            if status == "ok" and hops <= REDIRECT_DEPTH_CAP:
                 memo[t] = (final, "ok", hops)
             elif status == "ok":
                 memo[t] = (None, "cycle", 0)
@@ -164,7 +169,7 @@ class RedirectMap:
         return final, status
 
 
-def resolve_redirects(pages: dict[str, PageRecord], links: Iterable[RawLinkRecord],
+def resolve_redirects(rmap: RedirectMap, links: Iterable[RawLinkRecord],
                       tallies: Counter) -> Iterator[RawLinkRecord]:
     """Rewrite link endpoints through redirect chains.
 
@@ -172,7 +177,6 @@ def resolve_redirects(pages: dict[str, PageRecord], links: Iterable[RawLinkRecor
     cycle or an unknown title are dropped and tallied, as are self-loops
     produced by the resolution.
     """
-    rmap = pages if isinstance(pages, RedirectMap) else RedirectMap(pages)
     for rec in links:
         src, src_status = rmap.resolve(rec.src_title)
         dst, dst_status = rmap.resolve(rec.dst_title)
@@ -207,17 +211,14 @@ def disambiguation_targets(pages: dict[str, PageRecord],
 
 def expand_disambiguation_anchors(pages: dict[str, PageRecord],
                                   anchors: Iterable[AnchorRecord],
-                                  links, tallies: Counter) -> Iterator[AnchorRecord]:
+                                  dmap: dict[str, list[str]],
+                                  tallies: Counter) -> Iterator[AnchorRecord]:
     """Fan anchors pointing at a disambiguation page out to its articles.
 
     Each replacement record carries the original count. Anchors to ordinary
     pages pass through; a disambiguation page without outgoing article links
-    drops the anchor.
-
-    ``links`` is either an iterable of resolved link records or a prebuilt
-    map from disambiguation_targets().
+    drops the anchor. ``dmap`` is the map from disambiguation_targets().
     """
-    dmap = links if isinstance(links, dict) else disambiguation_targets(pages, links)
     for rec in anchors:
         page = pages.get(rec.dst_title)
         if page is not None and page.kind == "disambiguation":
@@ -308,11 +309,7 @@ def emit_anchor_counts(pages: dict[str, PageRecord], rmap: RedirectMap,
     # titles and redirects as dictionary sources, only where no anchor exists
     pseudo: dict[tuple[str, str], int] = {}
     for title in sorted(pages):
-        page = pages[title]
-        if page.kind in ("article", "disambiguation"):
-            final: str | None = title
-        else:
-            final, _ = rmap.resolve(title) if page.kind == "redirect" else (None, "")
+        final, _ = rmap.resolve(title)
         if final is None or pages[final].kind == "category":
             continue
         # underscores in titles are word separators
@@ -323,22 +320,12 @@ def emit_anchor_counts(pages: dict[str, PageRecord], rmap: RedirectMap,
                 pseudo[key] = title_pseudo_count
                 tallies["dict_pseudo_count_entries"] += 1
 
-    combined = Counter(pre)
-    combined.update(pseudo)
+    records = (AnchorRecord(mention, title, count)
+               for (mention, title), count in (pre | pseudo).items())
     agg: dict[tuple[str, int], int] = {}
-    for (mention, title), count in combined.items():
-        if pages[title].kind == "disambiguation":
-            articles = dmap.get(title, [])
-            if not articles:
-                tallies["anchors_dropped_empty_expansion"] += 1
-                tallies["anchor_counts_dropped_empty_expansion"] += count
-                continue
-            for art in articles:
-                key = (mention, node_ids[art])
-                agg[key] = agg.get(key, 0) + count
-        else:
-            key = (mention, node_ids[title])
-            agg[key] = agg.get(key, 0) + count
+    for rec in expand_disambiguation_anchors(pages, records, dmap, tallies):
+        key = (rec.anchor_text, node_ids[rec.dst_title])
+        agg[key] = agg.get(key, 0) + rec.count
 
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("mention\tarticle_id\tcount\n")
@@ -356,9 +343,9 @@ def run_ingest(pages_path: str, links_path: str, anchors_path: str,
     pages = read_pages(pages_path, tallies)
     for page in pages.values():
         tallies[f"pages_{page.kind}"] += 1
-    rmap = RedirectMap(pages)
+    rmap = RedirectMap.of_pages(pages)
 
-    resolved = list(resolve_redirects(pages, iter_links(links_path), tallies))
+    resolved = list(resolve_redirects(rmap, iter_links(links_path), tallies))
     tallies["links_resolved"] = len(resolved)
     dmap = disambiguation_targets(pages, resolved)
 

@@ -53,6 +53,10 @@ class NedPrediction:
     def score(self) -> float:
         return self.candidate_scores[0][1] if self.candidate_scores else 0.0
 
+    def title(self, nodes: NodeTable) -> str:
+        """The predicted node's title, or ``NIL``."""
+        return "NIL" if self.predicted is None else nodes.title_of(self.predicted)
+
 
 def generate_candidates(mention: str, store, resolver=None,
                         nodes: NodeTable | None = None):
@@ -235,6 +239,8 @@ def load_queries(path: str, context_dir: str | None = None) -> list[NedQuery]:
         query_id, mention, context_file = cols[0], cols[1], cols[2]
         if query_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate query id {query_id!r}")
+        if not mention:
+            raise DataError(f"{path}:{lineno}: empty mention")
         seen.add(query_id)
         offset = None
         if len(cols) > 3 and cols[3] != "":
@@ -261,8 +267,7 @@ def write_predictions(preds: list[NedPrediction], nodes: NodeTable,
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("query_id\tpredicted_title\tscore\tfallback_used\n")
         for p in preds:
-            title = nodes.title_of(p.predicted) if p.predicted is not None else "NIL"
-            fh.write(f"{p.query_id}\t{title}\t{p.score:.12g}\t"
+            fh.write(f"{p.query_id}\t{p.title(nodes)}\t{p.score:.12g}\t"
                      f"{'true' if p.fallback_used else 'false'}\n")
 
 
@@ -287,7 +292,12 @@ class CachedHttpResolver:
         self._cache: dict[str, str | None] = {}
         if os.path.exists(cache_path):
             with open(cache_path, encoding="utf-8") as fh:
-                self._cache = json.load(fh)
+                try:
+                    self._cache = json.load(fh)
+                except ValueError as exc:
+                    raise DataError(f"{cache_path}: bad resolver cache: {exc}") from None
+            if not isinstance(self._cache, dict):
+                raise DataError(f"{cache_path}: resolver cache is not a JSON object")
 
     def resolve(self, mention: str) -> str | None:
         with self._lock:

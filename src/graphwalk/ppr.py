@@ -19,14 +19,12 @@ class NoContextError(Exception):
 class PprParams:
     """Walk parameters. ``alpha`` is the link-follow probability, so the
     teleport weight per step is ``1 - alpha``. ``iterations=0`` returns the
-    teleport vector itself. ``tolerance`` enables an optional early L1 stop
-    and is off by default to keep runs fixed-iteration."""
+    teleport vector itself."""
 
     alpha: float = 0.85
     iterations: int = 30
     k: int | None = 5000
     prior_init: bool = True
-    tolerance: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -35,8 +33,6 @@ class PprParams:
             raise ValueError("iterations must be >= 0")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1 or None")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -154,14 +150,9 @@ class PprEngine:
         p = v.copy()
         for _ in range(params.iterations):
             d = float(p[self._dangling].sum()) if self._dangling.size else 0.0
-            nxt = self._mt.dot(p)
-            nxt *= params.alpha
-            nxt += (params.alpha * d + 1.0 - params.alpha) * v
-            done = (params.tolerance is not None
-                    and float(np.abs(nxt - p).sum()) < params.tolerance)
-            p = nxt
-            if done:
-                break
+            p = self._mt.dot(p)
+            p *= params.alpha
+            p += (params.alpha * d + 1.0 - params.alpha) * v
         return ScoreVector.from_dense(p)
 
 

@@ -340,3 +340,19 @@ def test_bad_walk_parameters_stop_before_any_output(workspace, tmp_path, capsys,
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--resamples", "999"), ("--resamples", "0"), ("--seed", "-1"),
+])
+def test_eval_resamples_and_seed_are_checked_at_the_flag(workspace, tmp_path, capsys,
+                                                          flag, value):
+    preds = tmp_path / "p.tsv"
+    assert main(["ned", "--data", str(workspace["data"]),
+                 "--queries", str(workspace["queries"]), "--out", str(preds)]) == 0
+    report = tmp_path / "r.json"
+    assert main(["eval", "--task", "ned", "--dataset", str(workspace["queries"]),
+                 "--preds", str(preds), "--baseline", str(preds),
+                 "--report", str(report), flag, value]) == 1
+    assert f"usage error: {flag} must be >= " in capsys.readouterr().err
+    assert not report.exists()

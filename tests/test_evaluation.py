@@ -326,14 +326,18 @@ def test_compare_prediction_files_rel(tmp_path, lions):
     assert report.significance[0]["test"] == "fisher-z-two-sided"
 
 
-def test_redirect_cycle_maps_to_the_last_title_before_the_repeat():
-    nodes = NodeTable(["A", "t0"], np.zeros(2, dtype=np.uint8))
-    cycle = {"A": "B", "B": "C", "C": "A"}
-    assert accuracy([pred("q", 0)], {"q": "C"}, nodes, cycle).value == 1.0
-    # a chain longer than the ingest depth cap stops after the cap
-    chain = {f"t{i}": f"t{i + 1}" for i in range(2 * REDIRECT_DEPTH_CAP)}
-    gold = {"q": f"t{REDIRECT_DEPTH_CAP}"}
-    assert accuracy([pred("q", 1)], gold, nodes, chain).value == 1.0
+def test_version_redirects_follow_the_ingest_chain_rule():
+    nodes = NodeTable(["A", "t0", "t1"], np.zeros(3, dtype=np.uint8))
+    # a title on a cycle is left unmapped, wherever the walk starts
+    cycle = {"A": "B", "B": "A"}
+    assert accuracy([pred("q", 0)], {"q": "A"}, nodes, cycle).value == 1.0
+    assert accuracy([pred("q", 0)], {"q": "B"}, nodes, cycle).value == 0.0
+    # a chain past the depth cap is left unmapped, one within it maps
+    chain = {f"t{i}": f"t{i + 1}" for i in range(REDIRECT_DEPTH_CAP + 1)}
+    final = f"t{REDIRECT_DEPTH_CAP + 1}"
+    assert accuracy([pred("q", 1)], {"q": final}, nodes, chain).value == 0.0
+    assert accuracy([pred("q", 1)], {"q": "t0"}, nodes, chain).value == 1.0
+    assert accuracy([pred("q", 2)], {"q": final}, nodes, chain).value == 1.0
 
 
 def test_run_eval_ned_without_params_predicts_what_run_batch_predicts(lions, tmp_path):

@@ -239,3 +239,23 @@ def test_build_graph_flags_reciprocal_category(tmp_path):
     g = build_graph("Cr", str(tmp_path), nodes)
     assert g.n_arcs == 2
     assert any(f.startswith("experimental:") for f in g.flags)
+
+
+@pytest.mark.parametrize("kind", ["graph", "dictionary"])
+def test_every_cut_or_padding_of_a_snapshot_is_a_data_error(lions, tmp_path, kind):
+    graph, store, _, _ = lions
+    path = tmp_path / "snapshot"
+    if kind == "graph":
+        save_snapshot(graph, str(path))
+        load = load_snapshot
+    else:
+        store.save(str(path))
+        load = gw.Dictionary.load
+    whole = path.read_bytes()
+    for cut in range(len(whole)):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(DataError, match="snapshot"):
+            load(str(path))
+    path.write_bytes(whole + b"\0\0")
+    with pytest.raises(DataError, match="truncated or corrupt snapshot"):
+        load(str(path))

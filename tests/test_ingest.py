@@ -7,7 +7,8 @@ import pytest
 
 from graphwalk.errors import DataError
 from graphwalk.ingest import (AnchorRecord, PageRecord, RawLinkRecord,
-                              RedirectMap, expand_disambiguation_anchors,
+                              RedirectMap, disambiguation_targets,
+                              expand_disambiguation_anchors,
                               iter_anchors, iter_links, read_pages, resolve_redirects,
                               run_ingest)
 
@@ -29,7 +30,8 @@ DIS = lambda pid, t: PageRecord(pid, t, "disambiguation")
 def test_single_hop_redirect():
     pages = pages_of(ART(0, "A"), ART(1, "X"), RED(2, "R", "A"))
     tallies = Counter()
-    out = list(resolve_redirects(pages, [RawLinkRecord("X", "R", "H")], tallies))
+    out = list(resolve_redirects(RedirectMap.of_pages(pages),
+                                 [RawLinkRecord("X", "R", "H")], tallies))
     assert out == [RawLinkRecord("X", "A", "H")]
     assert not tallies
 
@@ -37,14 +39,16 @@ def test_single_hop_redirect():
 def test_redirect_chain_follows_to_fixed_point():
     pages = pages_of(ART(0, "A"), ART(1, "X"),
                      RED(2, "R1", "R2"), RED(3, "R2", "A"))
-    out = list(resolve_redirects(pages, [RawLinkRecord("X", "R1", "H")], Counter()))
+    out = list(resolve_redirects(RedirectMap.of_pages(pages),
+                                 [RawLinkRecord("X", "R1", "H")], Counter()))
     assert out == [RawLinkRecord("X", "A", "H")]
 
 
 def test_redirect_cycle_drops_and_tallies():
     pages = pages_of(ART(0, "X"), RED(1, "R1", "R2"), RED(2, "R2", "R1"))
     tallies = Counter()
-    out = list(resolve_redirects(pages, [RawLinkRecord("X", "R1", "H")], tallies))
+    out = list(resolve_redirects(RedirectMap.of_pages(pages),
+                                 [RawLinkRecord("X", "R1", "H")], tallies))
     assert out == []
     assert tallies["links_dropped_redirect_cycle"] == 1
 
@@ -54,11 +58,13 @@ def test_redirect_chain_beyond_cap_counts_as_cycle():
     for i in range(30):
         pages[f"R{i}"] = RED(10 + i, f"R{i}", f"R{i+1}" if i < 29 else "A")
     tallies = Counter()
-    out = list(resolve_redirects(pages, [RawLinkRecord("X", "R0", "H")], tallies))
+    out = list(resolve_redirects(RedirectMap.of_pages(pages),
+                                 [RawLinkRecord("X", "R0", "H")], tallies))
     assert out == []
     assert tallies["links_dropped_redirect_cycle"] == 1
     # a short chain through the same map still resolves
-    out = list(resolve_redirects(pages, [RawLinkRecord("X", "R28", "H")], Counter()))
+    out = list(resolve_redirects(RedirectMap.of_pages(pages),
+                                 [RawLinkRecord("X", "R28", "H")], Counter()))
     assert out == [RawLinkRecord("X", "A", "H")]
 
 
@@ -69,7 +75,7 @@ def test_redirect_resolution_is_query_order_invariant():
         pages = {"A": ART(1, "A")}
         for i in range(30):
             pages[f"R{i}"] = RED(10 + i, f"R{i}", f"R{i+1}" if i < 29 else "A")
-        return RedirectMap(pages)
+        return RedirectMap.of_pages(pages)
 
     fresh = {t: build().resolve(t) for t in [f"R{i}" for i in range(30)]}
     warmed = build()
@@ -84,7 +90,8 @@ def test_redirect_resolution_is_query_order_invariant():
 def test_unknown_title_drops_and_tallies():
     pages = pages_of(ART(0, "X"))
     tallies = Counter()
-    out = list(resolve_redirects(pages, [RawLinkRecord("X", "Nope", "H")], tallies))
+    out = list(resolve_redirects(RedirectMap.of_pages(pages),
+                                 [RawLinkRecord("X", "Nope", "H")], tallies))
     assert out == []
     assert tallies["links_dropped_unknown_title"] == 1
 
@@ -92,7 +99,8 @@ def test_unknown_title_drops_and_tallies():
 def test_resolution_self_loop_dropped():
     pages = pages_of(ART(0, "A"), RED(1, "R", "A"))
     tallies = Counter()
-    out = list(resolve_redirects(pages, [RawLinkRecord("A", "R", "H")], tallies))
+    out = list(resolve_redirects(RedirectMap.of_pages(pages),
+                                 [RawLinkRecord("A", "R", "H")], tallies))
     assert out == []
     assert tallies["links_dropped_self_loop"] == 1
 
@@ -107,8 +115,8 @@ def test_resolution_is_idempotent():
         pages[f"R{i}"] = RED(100 + i, f"R{i}", target)
     links = [RawLinkRecord(f"{'AR'[i % 2]}{i % 8}", f"A{(i * 3) % 10}", "H")
              for i in range(40)]
-    once = list(resolve_redirects(pages, links, Counter()))
-    twice = list(resolve_redirects(pages, once, Counter()))
+    once = list(resolve_redirects(RedirectMap.of_pages(pages), links, Counter()))
+    twice = list(resolve_redirects(RedirectMap.of_pages(pages), once, Counter()))
     assert once == twice
 
 
@@ -146,7 +154,8 @@ def test_expansion_map_built_from_links():
              RawLinkRecord("D", "K", "C"), RawLinkRecord("A", "B", "H")]
     out = list(expand_disambiguation_anchors(pages,
                                              [AnchorRecord("d", "D", 1)],
-                                             links, Counter()))
+                                             disambiguation_targets(pages, links),
+                                             Counter()))
     assert {r.dst_title for r in out} == {"A", "B"}
 
 
@@ -342,7 +351,7 @@ def test_iter_anchors_rejects_bad_counts(tmp_path):
 def test_redirect_map_statuses():
     pages = pages_of(ART(0, "A"), RED(1, "R", "A"), RED(2, "Bad", "Ghost"),
                      RED(3, "C1", "C2"), RED(4, "C2", "C1"))
-    rmap = RedirectMap(pages)
+    rmap = RedirectMap.of_pages(pages)
     assert rmap.resolve("A") == ("A", "ok")
     assert rmap.resolve("R") == ("A", "ok")
     assert rmap.resolve("Bad") == (None, "unknown")

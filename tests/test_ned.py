@@ -348,3 +348,22 @@ def test_load_queries_rejects_duplicate_ids(tmp_path):
                    encoding="utf-8")
     with pytest.raises(gw.DataError, match=r"queries\.tsv:4: duplicate query id 'q1'"):
         load_queries(str(tsv))
+
+
+def test_load_queries_rejects_empty_mention(tmp_path):
+    (tmp_path / "doc.txt").write_text("the Lions played", encoding="utf-8")
+    tsv = tmp_path / "queries.tsv"
+    tsv.write_text("query_id\tmention\tcontext_file\nq1\t\tdoc.txt\n", encoding="utf-8")
+    with pytest.raises(gw.DataError, match=r"queries\.tsv:2: empty mention"):
+        load_queries(str(tsv))
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{bad", "bad resolver cache"),
+    ("[1, 2]", "resolver cache is not a JSON object"),
+])
+def test_corrupt_resolver_cache_is_a_data_error(tmp_path, content, message):
+    cache = tmp_path / "cache.json"
+    cache.write_text(content, encoding="utf-8")
+    with pytest.raises(gw.DataError, match=rf"cache\.json: {message}"):
+        CachedHttpResolver("http://example.invalid/{query}", str(cache))

@@ -25,8 +25,6 @@ def test_params_validation():
         PprParams(iterations=-1)
     with pytest.raises(ValueError):
         PprParams(k=0)
-    with pytest.raises(ValueError):
-        PprParams(tolerance=0.0)
 
 
 def test_default_params_match_standard_run():
@@ -129,14 +127,6 @@ def test_repeat_runs_are_bitwise_identical():
     b = run_ppr(g, v, PprParams(iterations=25))
     assert np.array_equal(a.scores, b.scores)
     assert np.array_equal(a.ids, b.ids)
-
-
-def test_optional_tolerance_stops_early():
-    g = gw.TypedGraph.from_arcs(2, [0, 1], [1, 0])
-    v = build_teleport([entry("m", (0, 1, 1.0))], 2)
-    loose = run_ppr(g, v, PprParams(iterations=10_000, tolerance=1e-6))
-    exact = run_ppr(g, v, PprParams(iterations=10_000))
-    assert np.abs(loose.to_dense() - exact.to_dense()).sum() < 1e-5
 
 
 def test_truncate_keeps_top_k():
