@@ -266,6 +266,10 @@ def _sweep_cells(args, opts):
 
 
 def cmd_sweep(args) -> int:
+    systems = ("ppr", "ngd", "mfs") if args.task == "ned" else ("ppr", "ngd")
+    if args.system not in systems:
+        raise UsageError(f"--system for --task {args.task} must be one of "
+                         f"{', '.join(systems)}, got {args.system!r}")
     defaults = NED_DEFAULTS if args.task == "ned" else REL_DEFAULTS
     opts = _resolve(args, defaults)
     try:

@@ -9,6 +9,8 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DataError
 from .tsv import read_tsv
 
@@ -17,6 +19,7 @@ _MAGIC = b"GWDICT1"
 _TRIPLE = struct.Struct("<IQd")
 _HEADER = struct.Struct("<QQQQ")  # entries, max token length, string bytes, triples
 _OFFSET = struct.Struct("<QII")   # per entry: string offset, string length, triples
+_OFFSET_DTYPE = np.dtype([("offset", "<u8"), ("length", "<u4"), ("triples", "<u4")])
 _WS_RE = re.compile(r"\s+")
 
 
@@ -147,11 +150,16 @@ class Dictionary:
             triples_at = strtab_at + strtab_len
             if triples_at + n_triples * _TRIPLE.size != len(data):
                 raise ValueError("snapshot size does not match its header")
+            spans = np.frombuffer(data, _OFFSET_DTYPE, n_entries, offs_at)
+            bounds = np.zeros(n_entries + 1, dtype=np.uint64)
+            np.cumsum(spans["length"], out=bounds[1:])
+            if not np.array_equal(spans["offset"], bounds[:-1]) or bounds[-1] != strtab_len:
+                raise ValueError("entry strings do not tile the string table")
             strtab = data[strtab_at:triples_at]
             triples = list(map(Candidate._make, _TRIPLE.iter_unpack(data[triples_at:])))
             entries: dict[str, DictEntry] = {}
             pos = 0
-            for str_off, str_len, n_cand in _OFFSET.iter_unpack(data[offs_at:strtab_at]):
+            for str_off, str_len, n_cand in spans.tolist():
                 m = strtab[str_off:str_off + str_len].decode("utf-8")
                 entries[m] = DictEntry(m, tuple(triples[pos:pos + n_cand]))
                 pos += n_cand

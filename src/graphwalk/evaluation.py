@@ -52,21 +52,23 @@ def _is_nil(title: str | None) -> bool:
     return title is None or title == "" or title.upper() == "NIL"
 
 
-def _outcomes(gold, titles: dict[str, str], redirects: dict[str, str] | None,
-              source: str) -> list[bool]:
+def _version_map(redirects: dict[str, str] | None) -> RedirectMap:
+    """Version redirects (old title -> new title) under the ingest chain rule:
+    a target that is not itself an old title is final."""
+    redirects = redirects or {}
+    return RedirectMap({**dict.fromkeys(redirects.values()), **redirects})
+
+
+def _outcomes(gold, titles: dict[str, str], vmap: RedirectMap, source: str) -> list[bool]:
     """Whether the predicted title matches, per (query_id, gold_title) pair
     whose gold title is a knowledge-base entity.
 
-    Predicted titles are mapped through the version redirects (old title ->
-    new title) by the ingest chain rule: a target that is not itself an old
-    title is final, and a title whose chain cycles or exceeds the depth cap
-    is compared unmapped.
+    Predicted titles are mapped through the version map ``vmap``; a title
+    whose chain cycles or exceeds the depth cap is compared unmapped.
     """
     kb_gold = [(query_id, title) for query_id, title in gold if not _is_nil(title)]
     if not kb_gold:
         raise DataError("no instance has a gold entity in the knowledge base")
-    redirects = redirects or {}
-    vmap = RedirectMap({**dict.fromkeys(redirects.values()), **redirects})
     outcomes = []
     for query_id, gold_title in kb_gold:
         if query_id not in titles:
@@ -90,7 +92,7 @@ def accuracy(preds: list, gold: dict[str, str | None], nodes: NodeTable,
         raise DataError(f"query id mismatch between predictions and gold: {sorted(missing)[:5]}")
     titles = {p.query_id: p.title(nodes) for p in preds}
     correct = _outcomes([(p.query_id, gold[p.query_id]) for p in preds], titles,
-                        redirects, "predictions")
+                        _version_map(redirects), "predictions")
     return AccuracyResult(sum(correct) / len(correct), len(correct), tuple(correct))
 
 
@@ -249,11 +251,11 @@ def ned_report(name: str, gold, titles_by_id: dict[str, str],
     """
     if len({query_id for query_id, _ in gold}) != len(gold):
         raise DataError("query ids repeat across the pooled datasets")
-    ours = _outcomes(gold, titles_by_id, redirects, "predictions")
+    vmap = _version_map(redirects)
+    ours = _outcomes(gold, titles_by_id, vmap, "predictions")
     report = EvalReport(name, "accuracy", sum(ours) / len(ours), len(ours), config)
     for base in baselines:
-        theirs = _outcomes(gold, load_ned_predictions(base), redirects,
-                           f"baseline {base}")
+        theirs = _outcomes(gold, load_ned_predictions(base), vmap, f"baseline {base}")
         p_val = paired_bootstrap(ours, theirs, resamples, seed)
         report.significance.append({
             "baseline": base,
@@ -293,10 +295,8 @@ def run_eval(task: str, system: str, dataset_paths: list[str], *,
              graph: TypedGraph, store, nodes: NodeTable,
              params: PprParams | None = None, config: dict | None = None,
              baseline_paths: list[str] | None = None,
-             redirects: dict[str, str] | None = None,
              resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
-             on_unknown: str = "skip", workers: int = 1,
-             include_target: bool = True, dataset_name: str | None = None):
+             on_unknown: str = "skip"):
     """Run one system over one or more datasets (pooled) and score it.
 
     Returns (EvalReport, predictions). Multiple dataset paths are
@@ -304,7 +304,7 @@ def run_eval(task: str, system: str, dataset_paths: list[str], *,
     comparisons use a single test over all instances. Without ``params``
     each task walks with its own defaults.
     """
-    name = dataset_name or "+".join(dataset_paths)
+    name = "+".join(dataset_paths)
     config = dict(config or {})
     config.setdefault("system", system)
     config.setdefault("task", task)
@@ -319,24 +319,20 @@ def run_eval(task: str, system: str, dataset_paths: list[str], *,
         raise ValueError(f"unknown task {task!r}")
 
     queries = [q for path in dataset_paths for q in ned_mod.load_queries(path)]
-    preds = ned_mod.run_batch(queries, graph, store, params, system,
-                              workers=workers, nodes=nodes,
-                              include_target=include_target)
+    preds = ned_mod.run_batch(queries, graph, store, params, system, nodes=nodes)
     return ned_run_report(name, queries, preds, nodes, baselines, config,
-                          redirects, resamples, seed), preds
+                          resamples=resamples, seed=seed), preds
 
 
 def compare_prediction_files(task: str, dataset_paths: list[str],
                              pred_paths: list[str],
                              baseline_paths: list[str] | None = None, *,
                              redirects: dict[str, str] | None = None,
-                             resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
-                             config: dict | None = None,
-                             dataset_name: str | None = None) -> EvalReport:
+                             resamples: int = DEFAULT_RESAMPLES,
+                             seed: int = 0) -> EvalReport:
     """Score already-emitted predictions against gold, pooling datasets."""
-    name = dataset_name or "+".join(dataset_paths)
-    config = dict(config or {})
-    config.setdefault("task", task)
+    name = "+".join(dataset_paths)
+    config = {"task": task}
     baselines = baseline_paths or []
 
     if task == "rel":

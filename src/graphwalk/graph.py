@@ -116,8 +116,8 @@ class TypedGraph:
 
     def non_isolated_count(self) -> int:
         if self._non_isolated is None:
-            with_out = np.flatnonzero(self.out_degrees() > 0)
-            self._non_isolated = int(np.union1d(with_out, np.unique(self.neighbors)).size)
+            in_degrees = np.bincount(self.neighbors, minlength=self.n_nodes)
+            self._non_isolated = int(np.count_nonzero(self.out_degrees() + in_degrees))
         return self._non_isolated
 
 
@@ -296,6 +296,19 @@ def load_snapshot(path: str) -> TypedGraph:
             flags = tuple(s for s in take(flags_len).decode("utf-8").split("\n") if s)
         except ValueError:
             raise DataError(f"{path}: truncated or corrupt snapshot") from None
-        if fh.tell() != size or offsets[-1] != m:
+        if fh.tell() != size or not _valid_csr(offsets, neighbors, n):
             raise DataError(f"{path}: truncated or corrupt snapshot")
     return TypedGraph(offsets, neighbors, kinds, spec, flags)
+
+
+def _valid_csr(offsets: np.ndarray, neighbors: np.ndarray, n: int) -> bool:
+    """Offsets run from 0 to m without decreasing; every row holds node ids
+    in [0, n), strictly increasing."""
+    m = len(neighbors)
+    if offsets[0] != 0 or offsets[-1] != m or np.any(np.diff(offsets) < 0):
+        return False
+    if m and (neighbors.min() < 0 or neighbors.max() >= n):
+        return False
+    row_start = np.zeros(m + 1, dtype=bool)
+    row_start[offsets] = True
+    return not np.any((np.diff(neighbors) <= 0) & ~row_start[1:m])

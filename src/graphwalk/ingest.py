@@ -110,63 +110,38 @@ def iter_anchors(path: str) -> Iterator[AnchorRecord]:
 
 
 class RedirectMap:
-    """Redirect chains followed to a fixed point with a depth cap.
+    """Every known title's redirect chain, followed once to its end.
 
     ``targets`` maps every known title to its redirect target, or to None
     when the title is not a redirect. ``resolve`` returns (final_title,
-    status) where status is "ok", "unknown" (a hop leaves the known titles)
-    or "cycle" (a loop, or more than REDIRECT_DEPTH_CAP hops from the
-    queried title). Memoization is hop-aware so the result for any title never
-    depends on earlier queries: a title deep inside an over-long chain still
-    resolves when it is within the cap.
+    status) where status is "ok", "unknown" (the title, or a hop from it
+    within the cap, is not a known title) or "cycle" (a loop, or more than
+    REDIRECT_DEPTH_CAP hops from the queried title). The table of results
+    is built in the constructor, so a result depends only on the title.
     """
 
     def __init__(self, targets: dict[str, str | None]):
-        self._targets = targets
-        self._memo: dict[str, tuple[str | None, str, int]] = {}
+        self._table = {title: _follow(targets, title) for title in targets}
 
     @classmethod
     def of_pages(cls, pages: dict[str, PageRecord]) -> "RedirectMap":
         return cls({title: page.redirect_target for title, page in pages.items()})
 
     def resolve(self, title: str) -> tuple[str | None, str]:
-        memo = self._memo
-        if title in memo:
-            final, status, _ = memo[title]
-            return final, status
-        targets = self._targets
-        chain = [title]
-        current = title
-        for _ in range(REDIRECT_DEPTH_CAP + 1):
-            if current not in targets:
-                status, final, extra = "unknown", None, 0
-                break
-            nxt = targets[current]
-            if nxt is None:
-                status, final, extra = "ok", current, 0
-                break
-            if nxt in chain:
-                status, final, extra = "cycle", None, 0
-                break
-            if nxt in memo:
-                final, status, hops = memo[nxt]
-                extra = hops + 1
-                break
-            chain.append(nxt)
-            current = nxt
-        else:  # still walking after cap hops: overflow for the start only
-            memo[title] = (None, "cycle", 0)
+        return self._table.get(title, (None, "unknown"))
+
+
+def _follow(targets: dict[str, str | None], title: str) -> tuple[str | None, str]:
+    """One known title's chain; a loop or an over-long chain is a cycle even
+    when it would later leave the known titles."""
+    chain = [title]
+    while (nxt := targets[chain[-1]]) is not None:
+        if nxt in chain or len(chain) > REDIRECT_DEPTH_CAP:
             return None, "cycle"
-        for i, t in enumerate(chain):
-            hops = (len(chain) - 1 - i) + extra
-            if status == "ok" and hops <= REDIRECT_DEPTH_CAP:
-                memo[t] = (final, "ok", hops)
-            elif status == "ok":
-                memo[t] = (None, "cycle", 0)
-            else:
-                memo[t] = (None, status, 0)
-        final, status, _ = memo[title]
-        return final, status
+        if nxt not in targets:
+            return None, "unknown"
+        chain.append(nxt)
+    return chain[-1], "ok"
 
 
 def resolve_redirects(rmap: RedirectMap, links: Iterable[RawLinkRecord],

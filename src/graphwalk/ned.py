@@ -224,15 +224,15 @@ def _target_index(text: str, tokens: list[str], mention: str,
     return 0
 
 
-def load_queries(path: str, context_dir: str | None = None) -> list[NedQuery]:
+def load_queries(path: str) -> list[NedQuery]:
     """Read a query TSV: query_id, mention, context_file[, char_offset[, gold]].
 
-    Context files are plain UTF-8 text, resolved relative to ``context_dir``
-    (default: the TSV's directory) and tokenized on whitespace. Without a
-    character offset the first occurrence of the mention locates the target.
-    Query ids must be unique within the file.
+    Context files are plain UTF-8 text, resolved relative to the TSV's
+    directory and tokenized on whitespace. Without a character offset the
+    first occurrence of the mention locates the target. Query ids must be
+    unique within the file.
     """
-    base = context_dir if context_dir is not None else os.path.dirname(os.path.abspath(path))
+    base = os.path.dirname(os.path.abspath(path))
     queries: list[NedQuery] = []
     seen: set[str] = set()
     for lineno, cols in read_tsv(path, 3, None):

@@ -324,8 +324,10 @@ def test_scoring_errors_are_data_errors(workspace, tmp_path, capsys, scores,
     ("sweep", ["--alphas", "1.5"], None, 1, "alpha must be in (0,1)"),
     ("ned", [], "alpha=abc\n", 2, "run.cfg:1: bad value 'abc' for 'alpha'"),
     ("rel", [], "# walk\nprior=maybe\n", 2, "run.cfg:2: bad value 'maybe' for 'prior'"),
+    ("sweep", ["--task", "rel", "--system", "mfs"], None, 1,
+     "--system for --task rel must be one of ppr, ngd, got 'mfs'"),
 ], ids=["alpha_flag", "negative_iterations", "sweep_alphas", "config_alpha",
-        "config_prior"])
+        "config_prior", "sweep_system_for_task"])
 def test_bad_walk_parameters_stop_before_any_output(workspace, tmp_path, capsys, command,
                                                     flags, config, code, message):
     inputs = {"rel": ["--pairs", str(workspace["pairs"])],

@@ -252,6 +252,19 @@ def test_build_rejects_bad_rows(tmp_path):
         Dictionary.build(str(path), n_nodes=10)
 
 
+def test_load_rejects_entry_strings_that_do_not_tile_the_string_table(tmp_path):
+    d = Dictionary.from_counts({"alpha": {0: 1}, "beta": {1: 1}})
+    path = tmp_path / "dict.gwdict"
+    d.save(str(path))
+    data = bytearray(path.read_bytes())
+    length_at = len(b"GWDICT1") + 32 + 8  # the first entry's string length
+    assert int.from_bytes(data[length_at:length_at + 4], "little") == len("alpha")
+    data[length_at:length_at + 4] = (len("alpha") + 4).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="truncated or corrupt snapshot"):
+        Dictionary.load(str(path))
+
+
 def test_load_rejects_truncated_snapshot(tmp_path, gotham_dict):
     path = tmp_path / "dict.gwdict"
     gotham_dict.save(str(path))

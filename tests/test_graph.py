@@ -190,6 +190,24 @@ def test_snapshot_rejects_garbage(tmp_path):
         load_snapshot(str(path))
 
 
+@pytest.mark.parametrize("offsets, neighbors", [
+    ([1, 2, 2, 2, 2, 2], [1, 0]),       # first offset is not 0
+    ([0, 2, 1, 2, 2, 2], [1, 2]),       # offsets decrease
+    ([0, 1, 2, 2, 2, 2], [1, 999]),     # neighbor outside the 5 nodes
+    ([0, 1, 2, 2, 2, 2], [1, -1]),
+    ([0, 2, 2, 2, 2, 2], [3, 1]),       # row not sorted
+    ([0, 0, 0, 2, 2, 2], [4, 4]),       # row repeats a neighbor
+], ids=["first_offset", "decreasing_offsets", "neighbor_999", "negative_neighbor",
+        "unsorted_row", "repeated_neighbor"])
+def test_snapshot_with_broken_structure_is_a_data_error(tmp_path, offsets, neighbors):
+    g = gw.TypedGraph(np.array(offsets, dtype=np.int64), np.array(neighbors, dtype=np.int32),
+                      np.zeros(5, dtype=np.uint8), "Hd")
+    path = tmp_path / "bad.gwkb"
+    save_snapshot(g, str(path))
+    with pytest.raises(DataError, match="bad.gwkb: truncated or corrupt snapshot"):
+        load_snapshot(str(path))
+
+
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
 

@@ -4,9 +4,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphwalk.errors import DataError
-from graphwalk.ingest import (AnchorRecord, PageRecord, RawLinkRecord,
+from graphwalk.ingest import (REDIRECT_DEPTH_CAP, AnchorRecord, PageRecord, RawLinkRecord,
                               RedirectMap, disambiguation_targets,
                               expand_disambiguation_anchors,
                               iter_anchors, iter_links, read_pages, resolve_redirects,
@@ -68,6 +70,14 @@ def test_redirect_chain_beyond_cap_counts_as_cycle():
     assert out == [RawLinkRecord("X", "A", "H")]
 
 
+def chain_to_missing_pages():
+    """X plus the redirect chain R0 -> ... -> R29 -> Missing (not a page)."""
+    pages = {"X": ART(0, "X")}
+    for i in range(30):
+        pages[f"R{i}"] = RED(10 + i, f"R{i}", f"R{i+1}" if i < 29 else "Missing")
+    return pages
+
+
 def test_redirect_resolution_is_query_order_invariant():
     # titles within the cap must resolve identically whether or not an
     # over-long chain was walked through them first
@@ -85,6 +95,51 @@ def test_redirect_resolution_is_query_order_invariant():
     # exact boundary: 16 hops resolves, 17 does not
     assert fresh["R14"] == ("A", "ok")
     assert fresh["R13"] == (None, "cycle")
+    # a chain that leaves the known titles past the cap is a cycle from its
+    # start, however far along it an earlier query began
+    rmap = RedirectMap.of_pages(chain_to_missing_pages())
+    assert rmap.resolve("R20") == (None, "unknown")
+    assert rmap.resolve("R5") == (None, "cycle")
+
+
+def naive_resolve(targets, title):
+    """The chain rule spelled out: hop up to REDIRECT_DEPTH_CAP + 1 times,
+    then judge the whole path (a repeat or too many hops first)."""
+    path = [title]
+    while (len(path) <= REDIRECT_DEPTH_CAP + 1 and len(set(path)) == len(path)
+           and path[-1] in targets and targets[path[-1]] is not None):
+        path.append(targets[path[-1]])
+    if len(set(path)) < len(path) or len(path) > REDIRECT_DEPTH_CAP + 1:
+        return None, "cycle"
+    if path[-1] not in targets:
+        return None, "unknown"
+    return path[-1], "ok"
+
+
+@st.composite
+def redirect_targets(draw):
+    """A random title -> target map plus one chain of 10 to 25 hops that ends
+    at a final title, an unknown title or a loop back into itself."""
+    n = draw(st.integers(1, 12))
+    titles = [f"t{i}" for i in range(n)]
+    anywhere = st.sampled_from(titles + ["u0", "u1"])
+    targets = {t: draw(st.none() | anywhere) for t in titles}
+    length = draw(st.integers(10, 25))
+    for i in range(length):
+        targets[f"c{i}"] = f"c{i+1}"
+    targets[f"c{length}"] = draw(st.none() | anywhere
+                                 | st.sampled_from([f"c{i}" for i in range(length)]))
+    return targets
+
+
+@given(redirect_targets(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_redirect_map_equals_a_naive_bounded_walk(targets, rnd):
+    rmap = RedirectMap(targets)
+    queries = list(targets) + ["u0", "u1"]
+    rnd.shuffle(queries)
+    for title in queries:
+        assert rmap.resolve(title) == naive_resolve(targets, title), title
 
 
 def test_unknown_title_drops_and_tallies():
@@ -277,6 +332,26 @@ def test_ingest_is_order_invariant(corpus, tmp_path):
     for name in ("nodes.tsv", "edges.H.tsv", "edges.I.tsv", "edges.C.tsv",
                  "dict_counts.tsv", "ingest_report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    # a link into an over-long chain is a cycle whether or not a link into
+    # the chain's tail came first
+    pages = [(p.page_id, p.title, p.kind, p.redirect_target or "")
+             for p in chain_to_missing_pages().values()]
+    chain = tmp_path / "chain"
+    chain.mkdir()
+    write_tsv(chain / "pages.tsv", "page_id\ttitle\tkind\tredirect_target", pages)
+    write_tsv(chain / "anchors.tsv", "anchor_text\tdst_title\tcount", [])
+    reports = []
+    for order in (["R20", "R5"], ["R5", "R20"]):
+        write_tsv(chain / "links.tsv", "src_title\tdst_title\tkind",
+                  [("X", dst, "H") for dst in order])
+        out = chain / f"out_{order[0]}"
+        report = run_ingest(str(chain / "pages.tsv"), str(chain / "links.tsv"),
+                            str(chain / "anchors.tsv"), str(out))
+        assert report["tallies"]["links_dropped_redirect_cycle"] == 1
+        assert report["tallies"]["links_dropped_unknown_title"] == 1
+        reports.append((out / "ingest_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_anchor_count_conservation_on_random_corpus(tmp_path):
