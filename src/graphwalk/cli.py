@@ -129,12 +129,12 @@ def _load_runtime(data_dir: str, spec: str, sqlite_dict: bool = False):
         raise DataError("graph snapshot does not match nodes.tsv")
     sqlite_path = os.path.join(data_dir, "dict.sqlite")
     if sqlite_dict and os.path.exists(sqlite_path):
-        store = dict_mod.SqliteDictionary(sqlite_path)
+        store = dict_mod.SqliteDictionary(sqlite_path, graph.n_nodes)
     else:
         dict_path = os.path.join(data_dir, "dict.gwdict")
         if not os.path.exists(dict_path):
             raise DataError(f"missing dictionary snapshot {dict_path}; run 'graphwalk build' first")
-        store = dict_mod.Dictionary.load(dict_path)
+        store = dict_mod.Dictionary.load(dict_path, graph.n_nodes)
     return nodes, graph, store
 
 

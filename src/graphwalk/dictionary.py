@@ -20,6 +20,7 @@ _TRIPLE = struct.Struct("<IQd")
 _HEADER = struct.Struct("<QQQQ")  # entries, max token length, string bytes, triples
 _OFFSET = struct.Struct("<QII")   # per entry: string offset, string length, triples
 _OFFSET_DTYPE = np.dtype([("offset", "<u8"), ("length", "<u4"), ("triples", "<u4")])
+_TRIPLE_DTYPE = np.dtype([("article", "<u4"), ("count", "<u8"), ("prior", "<f8")])
 _WS_RE = re.compile(r"\s+")
 
 
@@ -137,8 +138,9 @@ class Dictionary:
             fh.write(bytes(triples))
 
     @classmethod
-    def load(cls, path: str) -> "Dictionary":
-        """Read a ``save`` file; a short, padded or undecodable one is a DataError."""
+    def load(cls, path: str, n_nodes: int | None = None) -> "Dictionary":
+        """Read a ``save`` file; a short, padded or undecodable one is a DataError,
+        and so is a candidate article id >= ``n_nodes`` when that is given."""
         with open(path, "rb") as fh:
             data = fh.read()
         if not data.startswith(_MAGIC):
@@ -167,6 +169,9 @@ class Dictionary:
             raise DataError(f"{path}: truncated or corrupt snapshot") from None
         if pos != n_triples:
             raise DataError(f"{path}: truncated or corrupt snapshot")
+        if n_nodes is not None and n_triples:
+            articles = np.frombuffer(data, _TRIPLE_DTYPE, n_triples, triples_at)["article"]
+            _check_articles(path, int(articles.max()), n_nodes)
         return cls(entries)
 
 
@@ -174,10 +179,13 @@ class SqliteDictionary:
     """Dictionary served from a sqlite file without loading it into memory.
 
     Read-only and safe for concurrent readers (one connection per thread).
+    With ``n_nodes`` given, a row naming a candidate article id >= ``n_nodes``
+    is a DataError when it is read.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, n_nodes: int | None = None):
         self._path = path
+        self._n_nodes = n_nodes
         self._local = threading.local()
         row = self._conn().execute(
             "SELECT value FROM meta WHERE key='max_token_len'").fetchone()
@@ -198,8 +206,10 @@ class SqliteDictionary:
         if row is None:
             return None
         # a u32 candidate count, then the triples
-        cands = map(Candidate._make, _TRIPLE.iter_unpack(row[0][4:]))
-        return DictEntry(mention, tuple(cands))
+        cands = tuple(map(Candidate._make, _TRIPLE.iter_unpack(row[0][4:])))
+        if self._n_nodes is not None and cands:
+            _check_articles(self._path, max(c.article for c in cands), self._n_nodes)
+        return DictEntry(mention, cands)
 
     def lookup(self, raw: str):
         m = normalize_mention(raw)
@@ -224,6 +234,12 @@ class SqliteDictionary:
         finally:
             conn.close()
         return cls(path)
+
+
+def _check_articles(path: str, max_article: int, n_nodes: int) -> None:
+    if max_article >= n_nodes:
+        raise DataError(f"{path}: candidate article id {max_article} is outside "
+                        f"the graph's {n_nodes} nodes")
 
 
 def longest_match_scan(store, tokens: list[str]):

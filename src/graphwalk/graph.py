@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -18,6 +19,9 @@ CATEGORY = 1
 NODE_KIND_NAMES = ("article", "category")
 
 _MAGIC = b"GWKB1"
+# guards the one-time build of a graph's derived state: its reverse graph,
+# its non-isolated count and its walk engine
+_DERIVED_LOCK = threading.RLock()
 
 
 def parse_graph_spec(spec: str) -> list[tuple[str, str]]:
@@ -69,7 +73,12 @@ class TypedGraph:
             hi = max(src.max(), dst.max())
             if lo < 0 or hi >= n_nodes:
                 raise DataError(f"arc endpoint out of range for {n_nodes} nodes")
-        keys = np.unique(src * np.int64(n_nodes) + dst)
+        # sort plus an adjacent-difference mask: np.unique gives the same
+        # keys but is far slower on large int64 arrays
+        keys = np.sort(src * np.int64(n_nodes) + dst)
+        fresh = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
         s = keys // n_nodes
         d = keys % n_nodes
         offsets = np.zeros(n_nodes + 1, dtype=np.int64)
@@ -102,23 +111,36 @@ class TypedGraph:
         i = np.searchsorted(row, b)
         return bool(i < len(row) and row[i] == b)
 
+    def _derived(self, slot: str, build):
+        """The value in ``slot``, built by ``build()`` once even when threads
+        race; once built it is read without taking the lock."""
+        value = getattr(self, slot)
+        if value is None:
+            with _DERIVED_LOCK:
+                value = getattr(self, slot)
+                if value is None:
+                    value = build()
+                    setattr(self, slot, value)
+        return value
+
     def reverse(self) -> "TypedGraph":
-        if self._reverse is None:
-            src, dst = self.arc_arrays()
-            rev = TypedGraph.from_arcs(self.n_nodes, dst, src, self.kinds,
-                                       self.spec, self.flags)
-            rev._reverse = self
-            self._reverse = rev
-        return self._reverse
+        return self._derived("_reverse", self._build_reverse)
+
+    def _build_reverse(self) -> "TypedGraph":
+        src, dst = self.arc_arrays()
+        rev = TypedGraph.from_arcs(self.n_nodes, dst, src, self.kinds, self.spec, self.flags)
+        rev._reverse = self
+        return rev
 
     def in_neighbors_of(self, u: int) -> np.ndarray:
         return self.reverse().neighbors_of(u)
 
     def non_isolated_count(self) -> int:
-        if self._non_isolated is None:
-            in_degrees = np.bincount(self.neighbors, minlength=self.n_nodes)
-            self._non_isolated = int(np.count_nonzero(self.out_degrees() + in_degrees))
-        return self._non_isolated
+        return self._derived("_non_isolated", self._count_non_isolated)
+
+    def _count_non_isolated(self) -> int:
+        in_degrees = np.bincount(self.neighbors, minlength=self.n_nodes)
+        return int(np.count_nonzero(self.out_degrees() + in_degrees))
 
 
 def _respec(spec: str, mode: str) -> str:

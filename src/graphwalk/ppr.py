@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,10 @@ from scipy import sparse
 
 from .dictionary import DictEntry
 from .graph import TypedGraph
+
+
+# teleports walked together per sparse-matrix product by PprEngine.run_many
+_BLOCK_COLUMNS = 16
 
 
 class NoContextError(Exception):
@@ -143,23 +148,36 @@ class PprEngine:
         self.n_nodes = n
 
     def run(self, teleport: ScoreVector, params: PprParams) -> ScoreVector:
-        if teleport.dim != self.n_nodes:
-            raise ValueError(
-                f"teleport dimension {teleport.dim} != graph size {self.n_nodes}")
-        v = teleport.to_dense()
-        p = v.copy()
-        for _ in range(params.iterations):
-            d = float(p[self._dangling].sum()) if self._dangling.size else 0.0
-            p = self._mt.dot(p)
-            p *= params.alpha
-            p += (params.alpha * d + 1.0 - params.alpha) * v
-        return ScoreVector.from_dense(p)
+        return next(self.run_many([teleport], params))
+
+    def run_many(self, teleports, params: PprParams):
+        """Yield one walk result per teleport, in order.
+
+        Teleports are walked ``_BLOCK_COLUMNS`` at a time as the columns of a
+        dense block, one sparse-matrix product per iteration; every column is
+        bitwise equal to walking its teleport alone.
+        """
+        teleports = iter(teleports)
+        while block := list(itertools.islice(teleports, _BLOCK_COLUMNS)):
+            v = np.zeros((self.n_nodes, len(block)), dtype=np.float64)
+            for j, teleport in enumerate(block):
+                if teleport.dim != self.n_nodes:
+                    raise ValueError(
+                        f"teleport dimension {teleport.dim} != graph size {self.n_nodes}")
+                v[teleport.ids, j] = teleport.scores
+            p = v.copy()
+            for _ in range(params.iterations):
+                # per-column dangling mass, summed in the same order as a 1-D sum
+                d = np.ascontiguousarray(p[self._dangling].T).sum(axis=1)
+                p = self._mt.dot(p)
+                p *= params.alpha
+                p += (params.alpha * d + 1.0 - params.alpha) * v
+            for j in range(len(block)):
+                yield ScoreVector.from_dense(p[:, j])
 
 
 def _engine_for(graph: TypedGraph) -> PprEngine:
-    if graph._engine is None:
-        graph._engine = PprEngine(graph)
-    return graph._engine
+    return graph._derived("_engine", lambda: PprEngine(graph))
 
 
 def run_ppr(graph: TypedGraph, teleport: ScoreVector,

@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from .graph import TypedGraph
-from .ppr import PprParams, ScoreVector, build_teleport, run_ppr, truncate_ppv
+from .ppr import (PprParams, ScoreVector, _engine_for, build_teleport, run_ppr,
+                  truncate_ppv)
 
 
 class UnknownTermError(LookupError):
@@ -90,25 +91,51 @@ def combine_scores(r1: float, r2: float) -> float:
     return r1 * r2
 
 
-def score_pairs(pairs, graph: TypedGraph, store, params: PprParams,
+def score_pairs(pairs, graph: TypedGraph, store, params: PprParams | None,
                 system: str = "ppr", on_unknown: str = "skip"):
     """Score (term1, term2, gold) rows; returns (term1, term2, gold, score).
 
-    Unknown terms either drop the pair (``skip``, score None) or score it 0
-    (``zero``), selected by the evaluation caller.
+    The walk system walks each distinct term once (see ``_term_vectors``) and
+    scores every pair as ``relate`` would. Unknown terms either drop the pair
+    (``skip``, score None) or score it 0 (``zero``), selected by the
+    evaluation caller.
     """
     if system not in ("ppr", "ngd"):
         raise ValueError(f"unknown relatedness system {system!r}")
     if on_unknown not in ("skip", "zero"):
         raise ValueError(f"on_unknown must be 'skip' or 'zero', got {on_unknown!r}")
+    pairs = list(pairs)
+    if system == "ppr":
+        vectors = _term_vectors([t for t1, t2, _ in pairs for t in (t1, t2)],
+                                graph, store, params or PprParams())
     out = []
     for term1, term2, gold in pairs:
-        try:
-            if system == "ppr":
-                score = relate(term1, term2, graph, store, params)
-            else:
+        if system == "ppr":
+            a, b = vectors[term1], vectors[term2]
+            score = None if a is None or b is None else cosine(a, b)
+        else:
+            try:
                 score = ngd_relate(term1, term2, graph, store)
-        except UnknownTermError:
-            score = 0.0 if on_unknown == "zero" else None
+            except UnknownTermError:
+                score = None
+        if score is None and on_unknown == "zero":
+            score = 0.0
         out.append((term1, term2, gold, score))
     return out
+
+
+def _term_vectors(terms, graph: TypedGraph, store, params: PprParams) -> dict:
+    """``term_ppv`` of each distinct term (None when unknown), walked in blocks.
+
+    Each vector is truncated as soon as it is walked, so at most one block
+    of untruncated vectors is held at a time.
+    """
+    entries = {term: store.lookup(term) for term in dict.fromkeys(terms)}
+    known = [term for term, entry in entries.items() if entry is not None]
+    ppvs = _engine_for(graph).run_many(
+        (build_teleport([entries[term]], graph.n_nodes, params.prior_init) for term in known),
+        params)
+    vectors = dict.fromkeys(entries)
+    for term, ppv in zip(known, ppvs):
+        vectors[term] = truncate_ppv(ppv, params.k)
+    return vectors

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from graphwalk.cli import main
+from graphwalk.dictionary import Candidate, DictEntry, Dictionary, SqliteDictionary
 
 from conftest import LIONS_SENTENCE, write_lions_corpus, write_tsv
 
@@ -66,6 +68,36 @@ def test_missing_snapshot_is_a_data_error(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "p.tsv")])
     assert rc == 2
     assert "graphwalk build" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def outside_ids_data(workspace, tmp_path_factory):
+    """A copy of the built data whose dictionary sends "lions" to node 999,
+    outside the graph, in both the snapshot and the sqlite backend."""
+    data = tmp_path_factory.mktemp("outside") / "data"
+    shutil.copytree(workspace["data"], data)
+    d = Dictionary.load(str(data / "dict.gwdict"))
+    d.entries["lions"] = DictEntry("lions", (Candidate(999, 1, 1.0),))
+    d.save(str(data / "dict.gwdict"))
+    (data / "dict.sqlite").unlink()
+    SqliteDictionary.create(d, str(data / "dict.sqlite"))
+    return data
+
+
+@pytest.mark.parametrize("backend", ["dict.gwdict", "dict.sqlite"])
+@pytest.mark.parametrize("command,system", [("rel", "ppr"), ("rel", "ngd"), ("ned", "ppr"),
+                                            ("ned", "ngd"), ("ned", "mfs")])
+def test_dictionary_ids_outside_the_graph_are_a_data_error(
+        workspace, outside_ids_data, tmp_path, capsys, command, system, backend):
+    inputs = (["--pairs", str(workspace["pairs"])] if command == "rel"
+              else ["--queries", str(workspace["queries"]), "--workers", "2"])
+    sqlite = ["--sqlite-dict"] if backend == "dict.sqlite" else []
+    rc = main([command, "--data", str(outside_ids_data), "--system", system,
+               "--out", str(tmp_path / "out.tsv")] + inputs + sqlite)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(outside_ids_data / backend) in err
+    assert "999" in err
 
 
 def test_ned_end_to_end_and_worker_determinism(workspace, tmp_path):

@@ -271,3 +271,19 @@ def test_load_rejects_truncated_snapshot(tmp_path, gotham_dict):
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(DataError, match="truncated"):
         Dictionary.load(str(path))
+
+
+def test_article_ids_are_checked_against_the_node_count(tmp_path):
+    d = Dictionary.from_counts({"alpha": {2: 3, 0: 1}, "beta": {4: 1}})
+    path = tmp_path / "dict.gwdict"
+    d.save(str(path))
+    db = tmp_path / "dict.sqlite"
+    SqliteDictionary.create(d, str(db))
+    assert Dictionary.load(str(path), n_nodes=5).entries == d.entries
+    assert SqliteDictionary(str(db), n_nodes=5).get("beta") == d.get("beta")
+    with pytest.raises(DataError, match="article id 4 is outside the graph's 4 nodes"):
+        Dictionary.load(str(path), n_nodes=4)
+    narrow = SqliteDictionary(str(db), n_nodes=4)
+    assert narrow.get("alpha") == d.get("alpha")
+    with pytest.raises(DataError, match="dict.sqlite: candidate article id 4"):
+        narrow.get("beta")

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -159,6 +165,58 @@ def test_reverse_and_in_neighbors():
     assert list(g.in_neighbors_of(2)) == [0, 1]
     assert list(g.in_neighbors_of(0)) == []
     assert g.has_arc(0, 2) and not g.has_arc(2, 0)
+
+
+def test_from_arcs_collapses_duplicates_like_unique():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 40):
+        src = rng.integers(0, n, 300)
+        dst = rng.integers(0, n, 300)
+        g = gw.TypedGraph.from_arcs(n, src, dst)
+        keys = np.unique(src * n + dst)
+        assert g.arc_arrays()[0].tolist() == (keys // n).tolist()
+        assert g.neighbors.tolist() == (keys % n).tolist()
+
+
+def test_derived_state_is_built_once_under_racing_threads(monkeypatch):
+    """Threads racing for a fresh graph's reverse graph, non-isolated count
+    and walk engine each build it once and all see the same instance."""
+    built = Counter()
+
+    def slow(name, fn):
+        def counted(*args, **kwargs):
+            built[name] += 1
+            time.sleep(0.02)   # widen the race window
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("_build_reverse", "_count_non_isolated"):
+        monkeypatch.setattr(gw.TypedGraph, name, slow(name, getattr(gw.TypedGraph, name)))
+    monkeypatch.setattr(gw.ppr.PprEngine, "__init__",
+                        slow("engine", gw.ppr.PprEngine.__init__))
+    rng = np.random.default_rng(3)
+    g = graph_from_arcs(30, random_arc_set(rng, 30))
+    teleport = gw.ScoreVector.from_pairs({0: 1.0}, 30)
+    start = threading.Barrier(8, timeout=30)
+
+    def race(i):
+        start.wait()
+        if i % 2:
+            return g.reverse(), g.non_isolated_count(), gw.ppr._engine_for(g)
+        out = gw.run_ppr(g, teleport)
+        return g.reverse(), g.non_isolated_count(), gw.ppr._engine_for(g), out
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(race, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert built == {"_build_reverse": 1, "_count_non_isolated": 1, "engine": 1}
+    for got in results:
+        assert got[0] is g.reverse() and got[2] is gw.ppr._engine_for(g)
+        assert got[1] == g.non_isolated_count()
 
 
 def test_snapshot_roundtrip(tmp_path):

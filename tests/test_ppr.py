@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphwalk as gw
 from graphwalk.dictionary import Candidate, DictEntry
-from graphwalk.ppr import (NoContextError, PprParams, ScoreVector,
-                           build_teleport, run_ppr, truncate_ppv)
+from graphwalk.ppr import (_BLOCK_COLUMNS, NoContextError, PprEngine, PprParams,
+                           ScoreVector, build_teleport, run_ppr, truncate_ppv)
 
 from conftest import dense_ppr, graph_from_arcs, random_arc_set
 
@@ -116,6 +118,39 @@ def test_dimension_mismatch_is_hard_error():
     v = build_teleport([entry("m", (0, 1, 1.0))], 4)
     with pytest.raises(ValueError):
         run_ppr(g, v)
+
+
+def test_block_walk_dimension_mismatch_is_hard_error():
+    g = gw.TypedGraph.from_arcs(3, [0], [1])
+    good = build_teleport([entry("m", (0, 1, 1.0))], 3)
+    bad = build_teleport([entry("m", (0, 1, 1.0))], 4)
+    with pytest.raises(ValueError):
+        list(PprEngine(g).run_many([good, bad, good], PprParams()))
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([0, 1, _BLOCK_COLUMNS, _BLOCK_COLUMNS + 1, 37]),
+       iterations=st.sampled_from([0, 1, 7, 30]))
+@settings(max_examples=40, deadline=None)
+def test_block_walk_equals_single_walks_bitwise(seed, count, iterations):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 60))
+    g = graph_from_arcs(n, random_arc_set(rng, n, force_dangling=True))
+    engine = PprEngine(g)
+    teleports = []
+    for _ in range(count):
+        dense = np.zeros(n)
+        ids = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        dense[ids] = rng.random(len(ids)) + 0.1
+        teleports.append(ScoreVector.from_dense(dense / dense.sum()))
+    params = PprParams(alpha=float(rng.uniform(0.5, 0.99)), iterations=iterations)
+    # a generator, consumed lazily in blocks
+    got = list(engine.run_many((t for t in teleports), params))
+    assert len(got) == count
+    for teleport, block_ppv in zip(teleports, got):
+        alone = engine.run(teleport, params)
+        assert np.array_equal(block_ppv.ids, alone.ids)
+        assert block_ppv.scores.tobytes() == alone.scores.tobytes()
 
 
 def test_repeat_runs_are_bitwise_identical():

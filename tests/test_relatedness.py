@@ -84,6 +84,51 @@ def test_score_pairs_unknown_policy(drink_world):
     assert rows[1][3] == 0.0
 
 
+def _relate_or_unknown(t1, t2, g, d, params, on_unknown):
+    try:
+        return relate(t1, t2, g, d, params)
+    except UnknownTermError:
+        return 0.0 if on_unknown == "zero" else None
+
+
+@pytest.mark.parametrize("on_unknown", ["skip", "zero"])
+@pytest.mark.parametrize("params", [None, PprParams(k=3),
+                                    PprParams(iterations=0, prior_init=False)])
+def test_score_pairs_equals_relate_per_pair(drink_world, params, on_unknown):
+    g, d = drink_world
+    rows = [("drink", "alcohol", 3.0), ("alcohol", "drink", 3.0),
+            ("drink", "drink", None), ("coffee", "zzqx", 1.0),
+            ("zzqx", "chemistry", 0.5), ("Drink", "coffee", 2.0),
+            ("chemistry", "alcohol", 1.0)]
+    got = score_pairs((row for row in rows), g, d, params, "ppr", on_unknown)
+    want = [(t1, t2, gold, _relate_or_unknown(t1, t2, g, d, params, on_unknown))
+            for t1, t2, gold in rows]
+    assert got == want
+
+
+def test_score_pairs_walks_each_distinct_term_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 60
+    g = graph_from_arcs(n, random_arc_set(rng, n, force_dangling=True))
+    d = Dictionary.from_counts({f"t{i}": {int(a): 1 + int(rng.integers(9))
+                                          for a in rng.choice(n, 3, replace=False)}
+                                for i in range(40)})
+    rows = [(f"t{rng.integers(42)}", f"t{rng.integers(42)}", None) for _ in range(90)]
+    walked = []
+    build_teleport = gw.relatedness.build_teleport
+
+    def counting_build_teleport(mentions, *args):
+        walked.append(mentions[0].mention)
+        return build_teleport(mentions, *args)
+
+    monkeypatch.setattr(gw.relatedness, "build_teleport", counting_build_teleport)
+    got = score_pairs(rows, g, d, PprParams(k=20), "ppr", "skip")
+    assert sorted(walked) == sorted({t for t1, t2, _ in rows for t in (t1, t2)} & set(d.entries))
+    monkeypatch.undo()
+    assert got == [(t1, t2, None, _relate_or_unknown(t1, t2, g, d, PprParams(k=20), "skip"))
+                   for t1, t2, _ in rows]
+
+
 # --- shared-inlink baseline --------------------------------------------------
 
 def test_ngd_identical_inlink_sets_score_one():
