@@ -22,6 +22,10 @@ _OFFSET = struct.Struct("<QII")   # per entry: string offset, string length, tri
 _OFFSET_DTYPE = np.dtype([("offset", "<u8"), ("length", "<u4"), ("triples", "<u4")])
 _TRIPLE_DTYPE = np.dtype([("article", "<u4"), ("count", "<u8"), ("prior", "<f8")])
 _WS_RE = re.compile(r"\s+")
+# integer totals below this sum and divide exactly in float64
+_EXACT_TOTAL = 2.0 ** 53
+# guards the one-time build of a loaded dictionary's ``entries``
+_ENTRIES_LOCK = threading.Lock()
 
 
 class Candidate(NamedTuple):
@@ -60,23 +64,66 @@ def normalize_mention(raw: str) -> str:
 
 
 class Dictionary:
-    """In-memory mention -> candidate-article store with prior probabilities."""
+    """Mention -> candidate-article store with prior probabilities.
+
+    Built from entries, or loaded from a GWDICT1 snapshot whose bytes it
+    keeps: a lookup then unpacks only the candidates of the mention it hits,
+    and ``entries`` is built in full the first time someone reads it.
+    """
 
     def __init__(self, entries: dict[str, DictEntry]):
-        self.entries = entries
+        self._entries = entries
+        # a loaded snapshot: its bytes, mention -> row, and the triples of
+        # row r at _triples[_first[r]:_first[r + 1]] (in triples, not bytes)
+        self._data = None
+        self._rows = None
+        self._first = None
+        self._triples = None
         self.max_token_len = max((len(m.split()) for m in entries), default=0)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        entries = self._entries
+        return len(self._rows) if entries is None else len(entries)
+
+    @property
+    def entries(self) -> dict[str, DictEntry]:
+        """Every entry by mention. A loaded dictionary builds this once, on
+        first read, and from then on serves ``get`` and ``save`` from it."""
+        entries = self._entries
+        if entries is None:
+            with _ENTRIES_LOCK:
+                entries = self._entries
+                if entries is None:
+                    entries = self._entries = self._build_entries()
+        return entries
+
+    def _build_entries(self) -> dict[str, DictEntry]:
+        cands = list(map(Candidate._make, _TRIPLE.iter_unpack(self._triples)))
+        first = self._first
+        return {m: DictEntry(m, tuple(cands[first[r]:first[r + 1]]))
+                for m, r in self._rows.items()}
+
+    def _find(self, mention: str):
+        # the body of both get and lookup, so that a wrapper counting calls
+        # to get (as perfbench's tracer does) counts exact lookups only
+        entries = self._entries
+        if entries is not None:
+            return entries.get(mention)
+        row = self._rows.get(mention)
+        if row is None:
+            return None
+        first, size = self._first, _TRIPLE.size
+        block = self._triples[first[row] * size:first[row + 1] * size]
+        return DictEntry(mention, tuple(map(Candidate._make, _TRIPLE.iter_unpack(block))))
 
     def get(self, mention: str):
         """Exact lookup by already-normalized mention."""
-        return self.entries.get(mention)
+        return self._find(mention)
 
     def lookup(self, raw: str):
         """Normalize then look up; None when absent or nothing survives."""
         m = normalize_mention(raw)
-        return self.entries.get(m) if m else None
+        return self._find(m) if m else None
 
     @classmethod
     def from_counts(cls, counts: dict[str, dict[int, int]]) -> "Dictionary":
@@ -117,7 +164,14 @@ class Dictionary:
         return cls.from_counts(counts)
 
     def save(self, path: str) -> None:
-        """Write the binary snapshot: string table, entry offsets, triples."""
+        """Write the binary snapshot: string table, entry offsets, triples.
+
+        A loaded dictionary whose ``entries`` nobody has read writes the
+        bytes it was loaded from."""
+        if self._entries is None:
+            with open(path, "wb") as fh:
+                fh.write(self._data)
+            return
         mentions = sorted(self.entries)
         strtab = bytearray()
         offsets = bytearray()
@@ -139,14 +193,17 @@ class Dictionary:
 
     @classmethod
     def load(cls, path: str, n_nodes: int | None = None) -> "Dictionary":
-        """Read a ``save`` file; a short, padded or undecodable one is a DataError,
-        and so is a candidate article id >= ``n_nodes`` when that is given."""
+        """Read a ``save`` file, keeping its bytes and decoding only its
+        mentions. A short, padded or undecodable file is a DataError, and so
+        is one that ``from_counts`` could not have written (see
+        ``_check_candidates``), or a candidate article id >= ``n_nodes`` when
+        that is given."""
         with open(path, "rb") as fh:
             data = fh.read()
         if not data.startswith(_MAGIC):
             raise DataError(f"{path}: not a dictionary snapshot")
         try:
-            n_entries, _max_len, strtab_len, n_triples = _HEADER.unpack_from(data, len(_MAGIC))
+            n_entries, max_len, strtab_len, n_triples = _HEADER.unpack_from(data, len(_MAGIC))
             offs_at = len(_MAGIC) + _HEADER.size
             strtab_at = offs_at + n_entries * _OFFSET.size
             triples_at = strtab_at + strtab_len
@@ -157,22 +214,30 @@ class Dictionary:
             np.cumsum(spans["length"], out=bounds[1:])
             if not np.array_equal(spans["offset"], bounds[:-1]) or bounds[-1] != strtab_len:
                 raise ValueError("entry strings do not tile the string table")
+            first = np.zeros(n_entries + 1, dtype=np.int64)
+            np.cumsum(spans["triples"], out=first[1:])
+            if first[-1] != n_triples:
+                raise ValueError("entry candidates do not tile the triples")
             strtab = data[strtab_at:triples_at]
-            triples = list(map(Candidate._make, _TRIPLE.iter_unpack(data[triples_at:])))
-            entries: dict[str, DictEntry] = {}
-            pos = 0
-            for str_off, str_len, n_cand in spans.tolist():
-                m = strtab[str_off:str_off + str_len].decode("utf-8")
-                entries[m] = DictEntry(m, tuple(triples[pos:pos + n_cand]))
-                pos += n_cand
+            ends = bounds.tolist()
+            mentions = [strtab[a:b].decode("utf-8") for a, b in zip(ends, ends[1:])]
         except (struct.error, ValueError):
             raise DataError(f"{path}: truncated or corrupt snapshot") from None
-        if pos != n_triples:
-            raise DataError(f"{path}: truncated or corrupt snapshot")
+        rows = dict(zip(mentions, range(n_entries)))
+        if len(rows) != n_entries:
+            raise DataError(f"{path}: a mention has two entries")
+        if max_len != max(map(len, map(str.split, mentions)), default=0):
+            raise DataError(f"{path}: the header's max token length does not match "
+                            "the mentions")
+        triples = np.frombuffer(data, _TRIPLE_DTYPE, n_triples, triples_at)
+        _check_candidates(path, triples, spans["triples"], first)
         if n_nodes is not None and n_triples:
-            articles = np.frombuffer(data, _TRIPLE_DTYPE, n_triples, triples_at)["article"]
-            _check_articles(path, int(articles.max()), n_nodes)
-        return cls(entries)
+            _check_articles(path, int(triples["article"].max()), n_nodes)
+        d = cls({})
+        d._entries, d._data, d._rows = None, data, rows
+        d._first, d._triples = first.tolist(), memoryview(data)[triples_at:]
+        d.max_token_len = max_len
+        return d
 
 
 class SqliteDictionary:
@@ -234,6 +299,40 @@ class SqliteDictionary:
         finally:
             conn.close()
         return cls(path)
+
+
+def _check_candidates(path: str, triples: np.ndarray, per_entry: np.ndarray,
+                      first: np.ndarray) -> None:
+    """What ``from_counts`` writes: every entry has candidates, every count is
+    positive, every prior is count / entry total, and candidates run by
+    descending prior, ties by ascending article id."""
+    if not per_entry.size:
+        return
+    if per_entry.min() == 0:
+        raise DataError(f"{path}: an entry has no candidates")
+    counts, priors, articles = triples["count"], triples["prior"], triples["article"]
+    if counts.min() == 0:
+        raise DataError(f"{path}: candidate priors do not match their counts")
+    starts = first[:-1]
+    # from_counts stores Python's exactly rounded c / total. Float64 sums of
+    # integers are exact below 2**53 and never round below it, so for rows
+    # with smaller totals numpy's float64 division gives the same priors bit
+    # for bit; the rare rows at or above 2**53 are checked with Python ints
+    totals = np.add.reduceat(counts.astype(np.float64), starts)
+    wrong = np.logical_or.reduceat(priors != counts / np.repeat(totals, per_entry), starts)
+    for r in np.flatnonzero(totals >= _EXACT_TOTAL).tolist():
+        row = slice(first[r], first[r + 1])
+        cs = counts[row].tolist()
+        total = sum(cs)
+        wrong[r] = priors[row].tolist() != [c / total for c in cs]
+    if wrong.any():
+        raise DataError(f"{path}: candidate priors do not match their counts")
+    same_row = np.ones(len(triples) - 1, dtype=bool)
+    same_row[first[1:-1] - 1] = False
+    ahead = (priors[:-1] > priors[1:]) | ((priors[:-1] == priors[1:])
+                                          & (articles[:-1] < articles[1:]))
+    if np.any(same_row & ~ahead):
+        raise DataError(f"{path}: candidates are not ordered by prior, then article id")
 
 
 def _check_articles(path: str, max_article: int, n_nodes: int) -> None:

@@ -17,6 +17,7 @@ MODES = ("d", "u", "r")
 ARTICLE = 0
 CATEGORY = 1
 NODE_KIND_NAMES = ("article", "category")
+_KIND_CODES = {name: code for code, name in enumerate(NODE_KIND_NAMES)}
 
 _MAGIC = b"GWKB1"
 # guards the one-time build of a graph's derived state: its reverse graph,
@@ -205,15 +206,20 @@ class NodeTable:
     """Dense node id <-> title mapping with node kinds."""
 
     def __init__(self, titles, kinds):
-        self.titles = list(titles)
+        self.titles = titles
         self.kinds = np.asarray(kinds, dtype=np.uint8)
-        self._by_title = {t: i for i, t in enumerate(self.titles)}
+        self._by_title = None
 
     def __len__(self) -> int:
         return len(self.titles)
 
     def id_of(self, title: str):
-        return self._by_title.get(title)
+        # built on first use: only the remote title resolver asks. Threads
+        # that race here build equal maps, so no lock is needed
+        by_title = self._by_title
+        if by_title is None:
+            by_title = self._by_title = dict(zip(self.titles, range(len(self.titles))))
+        return by_title.get(title)
 
     def title_of(self, node_id: int) -> str:
         return self.titles[node_id]
@@ -222,19 +228,22 @@ class NodeTable:
 def load_nodes(path: str) -> NodeTable:
     """Read ``nodes.tsv`` (id, title, kind); ids must be dense and in order."""
     titles: list[str] = []
-    kinds: list[int] = []
-    for lineno, cols in read_tsv(path, 3, 3, header="id\t"):
-        try:
-            nid = int(cols[0])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad node id {cols[0]!r}") from None
-        if nid != len(titles):
-            raise DataError(f"{path}:{lineno}: node ids must be dense and ordered")
-        if cols[2] not in NODE_KIND_NAMES:
-            raise DataError(f"{path}:{lineno}: unknown node kind {cols[2]!r}")
-        titles.append(cols[1])
-        kinds.append(NODE_KIND_NAMES.index(cols[2]))
-    return NodeTable(titles, kinds)
+    kinds = bytearray()
+    for lineno, (nid, title, kind) in read_tsv(path, 3, 3, header="id\t"):
+        # the string compare takes every well-formed row; int() decides the rest
+        if nid != str(len(titles)):
+            try:
+                value = int(nid)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad node id {nid!r}") from None
+            if value != len(titles):
+                raise DataError(f"{path}:{lineno}: node ids must be dense and ordered")
+        code = _KIND_CODES.get(kind)
+        if code is None:
+            raise DataError(f"{path}:{lineno}: unknown node kind {kind!r}")
+        titles.append(title)
+        kinds.append(code)
+    return NodeTable(titles, np.frombuffer(kinds, dtype=np.uint8))
 
 
 def load_edge_file(path: str, nodes: NodeTable, kind: str) -> TypedGraph:

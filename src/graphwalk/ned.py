@@ -255,6 +255,9 @@ def load_queries(path: str) -> list[NedQuery]:
                 text = ctx.read()
         except OSError as exc:
             raise DataError(f"{path}:{lineno}: cannot read context file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: context file {ctx_path}: invalid UTF-8 "
+                            f"at byte {exc.start}") from None
         tokens = text.split()
         target = _target_index(text, tokens, mention, offset) if tokens else 0
         queries.append(NedQuery(query_id, mention, tuple(tokens), target, gold))

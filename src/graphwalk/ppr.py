@@ -196,12 +196,3 @@ def truncate_ppv(ppv: ScoreVector, k: int | None) -> ScoreVector:
     order = np.lexsort((ppv.ids, -ppv.scores))
     keep = np.sort(order[:k])
     return ScoreVector(ppv.ids[keep], ppv.scores[keep], ppv.dim)
-
-
-def write_ppv_tsv(ppv: ScoreVector, path: str) -> None:
-    """Debug dump: node_id <tab> score, descending by score."""
-    order = np.lexsort((ppv.ids, -ppv.scores))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_id\tscore\n")
-        for i in order:
-            fh.write(f"{ppv.ids[i]}\t{float(ppv.scores[i])!r}\n")

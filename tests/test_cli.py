@@ -311,6 +311,29 @@ def test_usage_error_for_unknown_flag(capsys):
     assert rc == 1
 
 
+def test_invalid_utf8_in_a_tsv_file_is_a_data_error(tmp_path, capsys):
+    files = write_lions_corpus(tmp_path)
+    pages = files["pages"].read_bytes().splitlines(keepends=True)
+    pages[3] = pages[3].replace(b"\tarticle", b"\xff\tarticle")
+    files["pages"].write_bytes(b"".join(pages))
+    rc = main(["ingest", "--pages", str(files["pages"]), "--links", str(files["links"]),
+               "--anchors", str(files["anchors"]), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{files['pages']}:4: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_invalid_utf8_in_a_context_file_is_a_data_error(workspace, tmp_path, capsys):
+    (tmp_path / "doc.txt").write_bytes(b"lions in cape \xc3town")
+    queries = tmp_path / "q.tsv"
+    write_tsv(queries, "query_id\tmention\tcontext_file", [("q0", "Lions", "doc.txt")])
+    rc = main(["ned", "--data", str(workspace["data"]), "--queries", str(queries),
+               "--out", str(tmp_path / "p.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{queries}:2: context file {tmp_path / 'doc.txt'}: invalid UTF-8 at byte 14" in err
+    assert not (tmp_path / "p.tsv").exists()
+
+
 def test_data_error_for_missing_file(tmp_path, capsys):
     rc = main(["ingest", "--pages", str(tmp_path / "nope.tsv"),
                "--links", str(tmp_path / "nope.tsv"),

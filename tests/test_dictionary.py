@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import re
+import struct
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphwalk as gw
-from graphwalk.dictionary import (Dictionary, SqliteDictionary,
+from graphwalk.dictionary import (Candidate, DictEntry, Dictionary, SqliteDictionary,
                                   longest_match_scan, normalize_mention)
 from graphwalk.errors import DataError
+
+from conftest import LIONS_COUNTS, LIONS_SENTENCE
 
 
 # --- normalization ---------------------------------------------------------
@@ -220,8 +229,6 @@ def test_sqlite_backend_matches_memory(tmp_path, gotham_dict):
 
 
 def test_sqlite_backend_serves_concurrent_readers(tmp_path, gotham_dict):
-    from concurrent.futures import ThreadPoolExecutor
-
     db = SqliteDictionary.create(gotham_dict, str(tmp_path / "dict.sqlite"))
     mentions = list(gotham_dict.entries) * 25
 
@@ -287,3 +294,204 @@ def test_article_ids_are_checked_against_the_node_count(tmp_path):
     assert narrow.get("alpha") == d.get("alpha")
     with pytest.raises(DataError, match="dict.sqlite: candidate article id 4"):
         narrow.get("beta")
+
+
+# --- loaded snapshots ------------------------------------------------------
+
+_HEADER_AT = len(b"GWDICT1")
+_TRIPLE_SIZE = 20
+
+
+def _triples_at(blob: bytes) -> int:
+    n_entries, _, strtab_len, _ = struct.unpack_from("<QQQQ", blob, _HEADER_AT)
+    return _HEADER_AT + 32 + n_entries * 16 + strtab_len
+
+
+def _random_counts(seed: int, top: int) -> dict:
+    rng = np.random.default_rng(seed)
+    return {f"w{i} x{i % 7}" if i % 3 else f"w{i}":
+            {int(a): int(rng.integers(1, top))
+             for a in rng.choice(50, int(rng.integers(1, 6)), replace=False)}
+            for i in range(300)}
+
+
+@pytest.mark.parametrize("counts", [
+    LIONS_COUNTS,
+    {"smith": {1: 6, 2: 3}, "white house": {3: 9}, "john smith": {1: 4},
+     "gotham": {10: 32, 11: 15, 12: 35, 13: 1, 14: 1}, "café crème": {4: 2, 5: 2}},
+    _random_counts(3, 100),
+    _random_counts(4, 2 ** 50),  # totals close below 2**53
+], ids=["lions", "cascade", "random", "large_counts"])
+def test_loaded_dictionary_serves_what_from_counts_built(tmp_path, counts):
+    built = Dictionary.from_counts(counts)
+    path = tmp_path / "dict.gwdict"
+    built.save(str(path))
+    loaded = Dictionary.load(str(path))
+    assert len(loaded) == len(built)
+    assert loaded.max_token_len == built.max_token_len
+    probes = list(built.entries) + ["absent", "lions franchise", ""]
+    for m in probes + [m.upper() for m in probes] + [m.title() for m in probes]:
+        assert loaded.get(m) == built.get(m)
+        assert loaded.lookup(m) == built.lookup(m)
+    for tokens in (LIONS_SENTENCE.split(), "the John Smith of White House".split(),
+                   " ".join(built.entries).split()):
+        assert longest_match_scan(loaded, tokens) == longest_match_scan(built, tokens)
+    # nobody read ``entries``: the snapshot's own bytes are written back
+    again = tmp_path / "again.gwdict"
+    loaded.save(str(again))
+    assert again.read_bytes() == path.read_bytes()
+    assert loaded.entries == built.entries
+
+
+def test_entries_of_a_loaded_dictionary_become_its_store(tmp_path, gotham_dict):
+    path = tmp_path / "dict.gwdict"
+    gotham_dict.save(str(path))
+    d = Dictionary.load(str(path))
+    d.entries["zeta"] = DictEntry("zeta", (Candidate(3, 1, 1.0),))
+    assert d.get("zeta") is d.entries["zeta"]
+    assert d.lookup("Zeta") is d.get("zeta")
+    assert len(d) == len(gotham_dict) + 1
+    d.save(str(path))
+    assert Dictionary.load(str(path)).get("zeta") == d.get("zeta")
+
+
+def test_entries_are_built_once_under_concurrent_readers(tmp_path, gotham_dict, monkeypatch):
+    path = tmp_path / "dict.gwdict"
+    gotham_dict.save(str(path))
+    d = Dictionary.load(str(path))
+    builds = []
+    build = Dictionary._build_entries
+
+    def slow_build(self):
+        builds.append(threading.get_ident())
+        time.sleep(0.01)  # keep the other readers inside the race window
+        return build(self)
+
+    monkeypatch.setattr(Dictionary, "_build_entries", slow_build)
+    mentions = list(gotham_dict.entries) + ["absent"]
+    barrier = threading.Barrier(8)
+
+    def reader(i):
+        barrier.wait(timeout=10)
+        got = []
+        for _ in range(20):
+            got.append([d.get(m) for m in mentions])
+            if i % 2:
+                got.append([d.entries.get(m) for m in mentions])
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result(timeout=30) for f in [pool.submit(reader, i) for i in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    want = [gotham_dict.get(m) for m in mentions]
+    assert all(got == want for result in results for got in result)
+
+
+def test_load_rejects_an_entry_without_candidates(tmp_path):
+    path = tmp_path / "dict.gwdict"
+    Dictionary({"x": DictEntry("x", ())}).save(str(path))
+    with pytest.raises(DataError, match=re.escape(f"{path}: an entry has no candidates")):
+        Dictionary.load(str(path))
+
+
+def _bump_count(blob: bytearray, at: int) -> None:
+    count_at = at + 4
+    count = int.from_bytes(blob[count_at:count_at + 8], "little")
+    blob[count_at:count_at + 8] = (count + 1).to_bytes(8, "little")
+
+
+def _nudge_prior(blob: bytearray, at: int) -> None:
+    (prior,) = struct.unpack_from("<d", blob, at + 12)
+    struct.pack_into("<d", blob, at + 12, np.nextafter(prior, 0.0))
+
+
+def _swap_first_two(blob: bytearray, at: int) -> None:
+    a, b = blob[at:at + _TRIPLE_SIZE], blob[at + _TRIPLE_SIZE:at + 2 * _TRIPLE_SIZE]
+    blob[at:at + 2 * _TRIPLE_SIZE] = b + a
+
+
+def _zero_count(blob: bytearray, at: int) -> None:
+    blob[at + 4:at + 12] = bytes(8)
+
+
+def _raise_max_token_len(blob: bytearray, at: int) -> None:
+    struct.pack_into("<Q", blob, _HEADER_AT + 8, 3)
+
+
+@pytest.mark.parametrize("counts, corrupt, message", [
+    ({"m": {1: 3, 2: 1}}, _bump_count, "candidate priors do not match their counts"),
+    ({"m": {1: 3, 2: 1}}, _nudge_prior, "candidate priors do not match their counts"),
+    ({"m": {1: 3, 2: 1}}, _zero_count, "candidate priors do not match their counts"),
+    ({"m": {7: 1}}, _zero_count, "candidate priors do not match their counts"),
+    ({"m": {1: 3, 2: 1}}, _swap_first_two, "not ordered by prior, then article id"),
+    ({"m": {1: 2, 2: 2}}, _swap_first_two, "not ordered by prior, then article id"),
+    ({"a b": {1: 1}}, _raise_max_token_len, "max token length does not match"),
+], ids=["count", "prior", "zero_count", "zero_single_count", "prior_order", "tie_order",
+        "max_token_len"])
+def test_load_rejects_numbers_from_counts_could_not_have_written(tmp_path, counts, corrupt,
+                                                                 message):
+    path = tmp_path / "dict.gwdict"
+    Dictionary.from_counts(counts).save(str(path))
+    blob = bytearray(path.read_bytes())
+    corrupt(blob, _triples_at(bytes(blob)))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=re.escape(str(path)) + ": .*" + message):
+        Dictionary.load(str(path))
+
+
+def test_load_rejects_a_mention_stored_twice(tmp_path):
+    path = tmp_path / "dict.gwdict"
+    Dictionary.from_counts({"aa": {1: 1}, "ab": {2: 1}}).save(str(path))
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"aaab", b"aaaa"))
+    with pytest.raises(DataError, match="a mention has two entries"):
+        Dictionary.load(str(path))
+
+
+def test_priors_of_totals_from_2_53_on_load_as_from_counts_wrote_them(tmp_path):
+    # numpy divides float64 copies of count and total: that is Python's exact
+    # c / total only while totals stay below 2**53. Past it the two differ,
+    # and load must still accept what from_counts wrote
+    big, total = 2 ** 53 + 1, 2 ** 53 + 2
+    assert np.float64(big) / np.float64(total) != big / total
+    counts = {"m": {1: big, 2: 1}, "n": {3: 2 ** 64 - 1, 4: 2 ** 64 - 1}, "o": {5: 3}}
+    built = Dictionary.from_counts(counts)
+    path = tmp_path / "dict.gwdict"
+    built.save(str(path))
+    assert Dictionary.load(str(path)).entries == built.entries
+
+
+_FLIP_COUNTS = dict(LIONS_COUNTS, **{
+    "gotham": {0: 32, 1: 15, 2: 35, 3: 1, 4: 1}, "new york city": {3: 10},
+    "new york": {3: 4, 5: 2}, "fletch er": {4: 2, 3: 8, 2: 2}})
+
+
+@given(bit=st.integers(min_value=0))
+@settings(max_examples=400, deadline=None)
+def test_any_single_bit_flip_is_rejected_or_loads_a_sound_dictionary(tmp_path_factory, bit):
+    path = tmp_path_factory.getbasetemp() / "flip.gwdict"
+    Dictionary.from_counts(_FLIP_COUNTS).save(str(path))
+    blob = bytearray(path.read_bytes())
+    bit %= 8 * len(blob)
+    blob[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(blob))
+    n_nodes = 6
+    try:
+        loaded = Dictionary.load(str(path), n_nodes=n_nodes)
+    except DataError:
+        return
+    entries = Dictionary.load(str(path)).entries  # a fresh materialization
+    assert len(loaded) == len(entries)
+    assert loaded.max_token_len == max(len(m.split()) for m in entries)
+    for mention, entry in entries.items():
+        assert loaded.get(mention) == entry
+        cands = entry.candidates
+        assert cands and all(0 <= c.article < n_nodes for c in cands)
+        assert abs(sum(c.prior for c in cands) - 1.0) <= 1e-9
+        keys = [(-c.prior, c.article) for c in cands]
+        assert keys == sorted(set(keys))

@@ -305,6 +305,22 @@ def test_load_nodes_requires_dense_ids(tmp_path):
         load_nodes(str(tmp_path / "nodes.tsv"))
 
 
+def test_load_nodes_reads_ids_as_integers(tmp_path):
+    path = tmp_path / "nodes.tsv"
+    _write(path, "id\ttitle\tkind\n0\tA\tarticle\n01\tB\tcategory\n 2 \tC\tarticle\n")
+    nodes = load_nodes(str(path))
+    assert nodes.titles == ["A", "B", "C"]
+    assert nodes.kinds.tolist() == [0, 1, 0]
+    for rows, message in [
+        ("0\tA\tarticle\n1x\tB\tarticle\n", r"nodes\.tsv:3: bad node id '1x'"),
+        ("0\tA\tarticle\n02\tB\tarticle\n", r"nodes\.tsv:3: node ids must be dense"),
+        ("0\tA\tarticle\n1\tB\tpage\n", r"nodes\.tsv:3: unknown node kind 'page'"),
+    ]:
+        _write(path, "id\ttitle\tkind\n" + rows)
+        with pytest.raises(DataError, match=message):
+            load_nodes(str(path))
+
+
 def test_build_graph_flags_reciprocal_category(tmp_path):
     _write(tmp_path / "nodes.tsv",
            "id\ttitle\tkind\n0\tA\tarticle\n1\tK\tcategory\n")

@@ -195,11 +195,3 @@ def test_score_vector_helpers():
     other = ScoreVector.from_pairs({3: 0.5, 5: 0.5}, 6)
     assert sv.dot(other) == 0.25 * 0.5
 
-
-def test_ppv_tsv_dump(tmp_path):
-    sv = ScoreVector.from_pairs({2: 0.7, 0: 0.3}, 4)
-    path = tmp_path / "ppv.tsv"
-    gw.ppr.write_ppv_tsv(sv, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "node_id\tscore"
-    assert lines[1].startswith("2\t0.7")

@@ -16,3 +16,13 @@ def test_read_tsv_yields_numbered_rows_and_checks_columns(tmp_path):
         list(read_tsv(str(path), 3, None))
     with pytest.raises(DataError, match=r"t\.tsv: missing header line"):
         list(read_tsv(str(path), 2, 3, header="id\t"))
+
+
+def test_read_tsv_reports_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"h1\th2\r\na\tb\r\n\nc\td\xff\n")
+    with pytest.raises(DataError, match=r"t\.tsv:4: invalid UTF-8"):
+        list(read_tsv(str(path), 2, 2))
+    path.write_bytes(b"h\xe9ader\na\tb\n")
+    with pytest.raises(DataError, match=r"t\.tsv:1: invalid UTF-8"):
+        list(read_tsv(str(path), 2, 2))
