@@ -73,9 +73,8 @@ class Dictionary:
 
     def __init__(self, entries: dict[str, DictEntry]):
         self._entries = entries
-        # a loaded snapshot: its bytes, mention -> row, and the triples of
-        # row r at _triples[_first[r]:_first[r + 1]] (in triples, not bytes)
-        self._data = None
+        # a loaded snapshot: mention -> row, and the triples of row r at
+        # _triples[_first[r]:_first[r + 1]] (in triples, not bytes)
         self._rows = None
         self._first = None
         self._triples = None
@@ -164,15 +163,10 @@ class Dictionary:
         return cls.from_counts(counts)
 
     def save(self, path: str) -> None:
-        """Write the binary snapshot: string table, entry offsets, triples.
-
-        A loaded dictionary whose ``entries`` nobody has read writes the
-        bytes it was loaded from."""
-        if self._entries is None:
-            with open(path, "wb") as fh:
-                fh.write(self._data)
-            return
+        """Write the binary snapshot: string table, entry offsets, triples."""
         mentions = sorted(self.entries)
+        # from the mentions written, which may have changed since load
+        max_len = max((len(m.split()) for m in mentions), default=0)
         strtab = bytearray()
         offsets = bytearray()
         triples = bytearray()
@@ -186,7 +180,7 @@ class Dictionary:
                 n_triples += 1
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(_HEADER.pack(len(mentions), self.max_token_len, len(strtab), n_triples))
+            fh.write(_HEADER.pack(len(mentions), max_len, len(strtab), n_triples))
             fh.write(bytes(offsets))
             fh.write(bytes(strtab))
             fh.write(bytes(triples))
@@ -234,7 +228,7 @@ class Dictionary:
         if n_nodes is not None and n_triples:
             _check_articles(path, int(triples["article"].max()), n_nodes)
         d = cls({})
-        d._entries, d._data, d._rows = None, data, rows
+        d._entries, d._rows = None, rows
         d._first, d._triples = first.tolist(), memoryview(data)[triples_at:]
         d.max_token_len = max_len
         return d

@@ -336,7 +336,7 @@ def test_loaded_dictionary_serves_what_from_counts_built(tmp_path, counts):
     for tokens in (LIONS_SENTENCE.split(), "the John Smith of White House".split(),
                    " ".join(built.entries).split()):
         assert longest_match_scan(loaded, tokens) == longest_match_scan(built, tokens)
-    # nobody read ``entries``: the snapshot's own bytes are written back
+    # saving a loaded dictionary writes the bytes it was loaded from
     again = tmp_path / "again.gwdict"
     loaded.save(str(again))
     assert again.read_bytes() == path.read_bytes()
@@ -353,6 +353,20 @@ def test_entries_of_a_loaded_dictionary_become_its_store(tmp_path, gotham_dict):
     assert len(d) == len(gotham_dict) + 1
     d.save(str(path))
     assert Dictionary.load(str(path)).get("zeta") == d.get("zeta")
+
+
+def test_saving_a_longer_added_mention_reloads(tmp_path, gotham_dict):
+    path = tmp_path / "dict.gwdict"
+    gotham_dict.save(str(path))
+    d = Dictionary.load(str(path))
+    longest = " ".join(["zoo"] * (d.max_token_len + 2))
+    d.entries[longest] = DictEntry(longest, (Candidate(3, 1, 1.0),))
+    d.save(str(path))
+    reloaded = Dictionary.load(str(path))
+    assert reloaded.max_token_len == d.max_token_len + 2
+    assert reloaded.get(longest) == d.entries[longest]
+    assert longest_match_scan(reloaded, longest.split()) == [
+        ((0, len(longest.split())), reloaded.get(longest))]
 
 
 def test_entries_are_built_once_under_concurrent_readers(tmp_path, gotham_dict, monkeypatch):
