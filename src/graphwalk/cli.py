@@ -26,6 +26,7 @@ from . import ned as ned_mod
 from . import relatedness as rel_mod
 from .errors import DataError
 from .ppr import PprParams
+from .tsv import _undecodable_line
 
 REL_DEFAULTS = {"spec": "Hr", "alpha": 0.85, "iterations": 30, "k": 5000,
                 "prior": True, "seed": 0}
@@ -46,17 +47,20 @@ class _Parser(argparse.ArgumentParser):
 def _parse_config_file(path: str) -> dict:
     out = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            try:
-                out[key] = _coerce(key, value)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise DataError(f"{path}:{lineno}: expected key=value")
+                key, value = (part.strip() for part in line.split("=", 1))
+                try:
+                    out[key] = _coerce(key, value)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}:{_undecodable_line(path)}: invalid UTF-8") from None
     return out
 
 

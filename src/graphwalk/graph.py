@@ -7,6 +7,7 @@ import struct
 import threading
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError
 from .tsv import read_tsv
@@ -128,8 +129,13 @@ class TypedGraph:
         return self._derived("_reverse", self._build_reverse)
 
     def _build_reverse(self) -> "TypedGraph":
-        src, dst = self.arc_arrays()
-        rev = TypedGraph.from_arcs(self.n_nodes, dst, src, self.kinds, self.spec, self.flags)
+        # the CSC form of the adjacency is the reverse graph's CSR: a
+        # transpose keeps each row's ids sorted and duplicate-free
+        n = self.n_nodes
+        csc = sparse.csr_matrix((np.ones(self.n_arcs, dtype=np.int8), self.neighbors,
+                                 self.offsets), shape=(n, n)).tocsc()
+        rev = TypedGraph(csc.indptr.astype(np.int64), csc.indices.astype(np.int32, copy=False),
+                         self.kinds, self.spec, self.flags)
         rev._reverse = self
         return rev
 

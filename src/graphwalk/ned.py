@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .dictionary import Candidate, DictEntry, longest_match_scan, normalize_mention
 from .errors import DataError
 from .graph import NodeTable, TypedGraph
-from .ppr import PprParams, build_teleport, run_ppr
+from .ppr import (_BLOCK_COLUMNS, PprParams, _engine_for, build_teleport,
+                  run_ppr)  # noqa: F401  (perfbench/spans.py wraps ned.run_ppr by name)
 from .relatedness import ngd_relatedness
 from .tsv import read_tsv
 
@@ -128,19 +129,41 @@ def disambiguate(query: NedQuery, graph: TypedGraph, store,
     With no context mentions the highest-prior candidate is returned and
     flagged as a fallback. No candidates at all gives a NIL prediction.
     """
+    return _disambiguate_chunk([query], graph, store, params, resolver, nodes,
+                               include_target)[0]
+
+
+def _disambiguate_chunk(queries: list[NedQuery], graph: TypedGraph, store,
+                        params: PprParams | None, resolver,
+                        nodes: NodeTable | None,
+                        include_target: bool) -> list[NedPrediction]:
+    """``disambiguate`` for each query, walking their teleports as one block.
+
+    Each walk result is ranked as it is yielded and then dropped, so at most
+    one block of walk vectors is held at a time.
+    """
     params = params or DEFAULT_NED_PARAMS
-    entry = generate_candidates(query.mention, store, resolver, nodes)
-    if entry is None:
-        return NedPrediction(query.query_id, None, ())
-    context = extract_context(query, store)
-    if not context:
-        return _prior_prediction(query, entry, fallback=True)
-    teleport_entries = context + [entry] if include_target else context
-    teleport = build_teleport(teleport_entries, graph.n_nodes, params.prior_init)
-    ppv = run_ppr(graph, teleport, params)
-    scored = [(c.article, ppv.get(c.article) * (c.prior if params.prior_init else 1.0))
-              for c in entry.candidates]
-    return _rank(query, scored)
+    preds: list[NedPrediction | None] = [None] * len(queries)
+    walked: list[tuple[int, DictEntry]] = []
+    teleports = []
+    for i, query in enumerate(queries):
+        entry = generate_candidates(query.mention, store, resolver, nodes)
+        if entry is None:
+            preds[i] = NedPrediction(query.query_id, None, ())
+            continue
+        context = extract_context(query, store)
+        if not context:
+            preds[i] = _prior_prediction(query, entry, fallback=True)
+            continue
+        teleport_entries = context + [entry] if include_target else context
+        teleports.append(build_teleport(teleport_entries, graph.n_nodes, params.prior_init))
+        walked.append((i, entry))
+    ppvs = _engine_for(graph).run_many(teleports, params)
+    for (i, entry), ppv in zip(walked, ppvs):
+        scored = [(c.article, ppv.get(c.article) * (c.prior if params.prior_init else 1.0))
+                  for c in entry.candidates]
+        preds[i] = _rank(queries[i], scored)
+    return preds
 
 
 def ngd_disambiguate(query: NedQuery, graph: TypedGraph, store,
@@ -186,23 +209,29 @@ def run_batch(queries: list[NedQuery], graph: TypedGraph, store,
               include_target: bool = True) -> list[NedPrediction]:
     """Disambiguate a batch, preserving query order.
 
-    Queries are independent over the shared immutable graph and dictionary,
-    so results do not depend on the worker count.
+    The walk system cuts the batch into chunks of up to ``_BLOCK_COLUMNS``
+    queries, about one per worker, and walks each chunk in one block. Every
+    walk is bitwise equal to walking its query alone, so results do not
+    depend on the worker count.
     """
     if system not in ("ppr", "ngd", "mfs"):
         raise ValueError(f"unknown NED system {system!r}")
 
-    def one(q: NedQuery) -> NedPrediction:
+    def one(chunk: list[NedQuery]) -> list[NedPrediction]:
         if system == "ppr":
-            return disambiguate(q, graph, store, params, resolver, nodes, include_target)
+            return _disambiguate_chunk(chunk, graph, store, params, resolver, nodes,
+                                       include_target)
         if system == "ngd":
-            return ngd_disambiguate(q, graph, store, resolver, nodes)
-        return mfs_baseline(q, store, resolver, nodes)
+            return [ngd_disambiguate(q, graph, store, resolver, nodes) for q in chunk]
+        return [mfs_baseline(q, store, resolver, nodes) for q in chunk]
 
-    if workers <= 1:
-        return [one(q) for q in queries]
+    workers = max(1, workers)
+    width = max(1, min(_BLOCK_COLUMNS, -(-len(queries) // workers)))
+    chunks = [queries[i:i + width] for i in range(0, len(queries), width)]
+    if workers == 1:
+        return [p for chunk in chunks for p in one(chunk)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, queries))
+        return [p for preds in pool.map(one, chunks) for p in preds]
 
 
 def _target_index(text: str, tokens: list[str], mention: str,
@@ -228,13 +257,15 @@ def load_queries(path: str) -> list[NedQuery]:
     """Read a query TSV: query_id, mention, context_file[, char_offset[, gold]].
 
     Context files are plain UTF-8 text, resolved relative to the TSV's
-    directory and tokenized on whitespace. Without a character offset the
+    directory and tokenized on whitespace; each distinct file is read once,
+    and its queries share one token tuple. Without a character offset the
     first occurrence of the mention locates the target. Query ids must be
     unique within the file.
     """
     base = os.path.dirname(os.path.abspath(path))
     queries: list[NedQuery] = []
     seen: set[str] = set()
+    documents: dict[str, tuple[str, tuple[str, ...]]] = {}  # resolved path -> text, tokens
     for lineno, cols in read_tsv(path, 3, None):
         query_id, mention, context_file = cols[0], cols[1], cols[2]
         if query_id in seen:
@@ -250,17 +281,20 @@ def load_queries(path: str) -> list[NedQuery]:
                 raise DataError(f"{path}:{lineno}: bad char offset {cols[3]!r}") from None
         gold = cols[4] if len(cols) > 4 and cols[4] != "" else None
         ctx_path = os.path.join(base, context_file)
-        try:
-            with open(ctx_path, encoding="utf-8") as ctx:
-                text = ctx.read()
-        except OSError as exc:
-            raise DataError(f"{path}:{lineno}: cannot read context file: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: context file {ctx_path}: invalid UTF-8 "
-                            f"at byte {exc.start}") from None
-        tokens = text.split()
+        key = os.path.realpath(ctx_path)
+        if key not in documents:
+            try:
+                with open(ctx_path, encoding="utf-8") as ctx:
+                    text = ctx.read()
+            except OSError as exc:
+                raise DataError(f"{path}:{lineno}: cannot read context file: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: context file {ctx_path}: invalid UTF-8 "
+                                f"at byte {exc.start}") from None
+            documents[key] = text, tuple(text.split())
+        text, tokens = documents[key]
         target = _target_index(text, tokens, mention, offset) if tokens else 0
-        queries.append(NedQuery(query_id, mention, tuple(tokens), target, gold))
+        queries.append(NedQuery(query_id, mention, tokens, target, gold))
     return queries
 
 

@@ -155,23 +155,26 @@ class PprEngine:
 
         Teleports are walked ``_BLOCK_COLUMNS`` at a time as the columns of a
         dense block, one sparse-matrix product per iteration; every column is
-        bitwise equal to walking its teleport alone.
+        bitwise equal to walking its teleport alone. The teleport term is
+        added on each teleport's own ids only: elsewhere it is ``c * 0.0``,
+        which leaves a non-negative entry unchanged.
         """
         teleports = iter(teleports)
         while block := list(itertools.islice(teleports, _BLOCK_COLUMNS)):
-            v = np.zeros((self.n_nodes, len(block)), dtype=np.float64)
+            p = np.zeros((self.n_nodes, len(block)), dtype=np.float64)
             for j, teleport in enumerate(block):
                 if teleport.dim != self.n_nodes:
                     raise ValueError(
                         f"teleport dimension {teleport.dim} != graph size {self.n_nodes}")
-                v[teleport.ids, j] = teleport.scores
-            p = v.copy()
+                p[teleport.ids, j] = teleport.scores
             for _ in range(params.iterations):
                 # per-column dangling mass, summed in the same order as a 1-D sum
                 d = np.ascontiguousarray(p[self._dangling].T).sum(axis=1)
                 p = self._mt.dot(p)
                 p *= params.alpha
-                p += (params.alpha * d + 1.0 - params.alpha) * v
+                c = params.alpha * d + 1.0 - params.alpha
+                for j, teleport in enumerate(block):
+                    p[teleport.ids, j] += c[j] * teleport.scores
             for j in range(len(block)):
                 yield ScoreVector.from_dense(p[:, j])
 

@@ -334,6 +334,17 @@ def test_invalid_utf8_in_a_context_file_is_a_data_error(workspace, tmp_path, cap
     assert not (tmp_path / "p.tsv").exists()
 
 
+def test_invalid_utf8_in_a_config_file_is_a_data_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"alpha=0.75\n# comment\niterations=\xff5\n")
+    rc = main(["ned", "--data", str(workspace["data"]),
+               "--queries", str(workspace["queries"]),
+               "--out", str(tmp_path / "p.tsv"), "--config", str(cfg)])
+    assert rc == 2
+    assert f"{cfg}:3: invalid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "p.tsv").exists()
+
+
 def test_data_error_for_missing_file(tmp_path, capsys):
     rc = main(["ingest", "--pages", str(tmp_path / "nope.tsv"),
                "--links", str(tmp_path / "nope.tsv"),

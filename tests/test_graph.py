@@ -167,6 +167,31 @@ def test_reverse_and_in_neighbors():
     assert g.has_arc(0, 2) and not g.has_arc(2, 0)
 
 
+def assert_same_arrays(a: gw.TypedGraph, b: gw.TypedGraph) -> None:
+    assert a.offsets.dtype == b.offsets.dtype == np.int64
+    assert a.neighbors.dtype == b.neighbors.dtype == np.int32
+    assert np.array_equal(a.offsets, b.offsets)
+    assert np.array_equal(a.neighbors, b.neighbors)
+
+
+def test_reverse_equals_from_arcs_with_swapped_ends():
+    rng = np.random.default_rng(21)
+    # zero arcs, a lone node with and without a self-loop, isolated nodes
+    cases = [(1, [], []), (1, [0], [0]), (4, [], []), (6, [0, 0, 5], [3, 3, 0])]
+    for _ in range(30):
+        n = int(rng.integers(1, 50))
+        m = int(rng.integers(0, 3 * n))
+        cases.append((n, rng.integers(0, n, m), rng.integers(0, n, m)))
+    for n, src, dst in cases:
+        g = gw.TypedGraph.from_arcs(n, src, dst, spec="Hd", flags=("x",))
+        s, d = g.arc_arrays()
+        rev = g.reverse()
+        assert_same_arrays(rev, gw.TypedGraph.from_arcs(n, d, s))
+        assert (rev.spec, rev.flags, rev.kinds is g.kinds) == ("Hd", ("x",), True)
+        fresh = gw.TypedGraph(rev.offsets, rev.neighbors, rev.kinds)
+        assert_same_arrays(fresh.reverse(), g)
+
+
 def test_from_arcs_collapses_duplicates_like_unique():
     rng = np.random.default_rng(8)
     for n in (1, 2, 7, 40):

@@ -260,6 +260,51 @@ def test_run_batch_is_worker_count_invariant(lions):
     assert [p.query_id for p in serial] == [q.query_id for q in queries]
 
 
+def chunk_boundary_queries(query: NedQuery, count: int) -> list[NedQuery]:
+    """Walked queries with distinct teleports, interleaved with NIL queries
+    (no candidates) and no-context fallbacks, so a walk result handed to the
+    wrong query would show."""
+    words = query.context_tokens
+    out = []
+    for i in range(count):
+        if i % 5 == 3:
+            out.append(NedQuery(f"q{i}", "Zzqx", ("some", "zzqx"), 1))
+        elif i % 7 == 2:
+            out.append(NedQuery(f"q{i}", "Lions", ("the", "lions", "won"), 1))
+        else:
+            # a different window of the sentence each time
+            cut = i % (len(words) - 3)
+            tokens = ("lions",) + words[cut:] + words[:cut]
+            mention = ("Lions", "Fletcher")[i % 2]
+            target = 0 if mention == "Lions" else tokens.index("fletcher")
+            out.append(NedQuery(f"q{i}", mention, tokens, target))
+    return out
+
+
+@pytest.mark.parametrize("params, include_target", [
+    (None, True),
+    (None, False),
+    (PprParams(iterations=15, k=None, prior_init=False), True),
+    (PprParams(iterations=0, k=None), True),
+])
+def test_run_batch_equals_single_queries_across_chunk_boundaries(lions, params,
+                                                                include_target):
+    graph, store, nodes, query = lions
+    for count in (0, 1, 15, 16, 17, 33):
+        queries = chunk_boundary_queries(query, count)
+        alone = [disambiguate(q, graph, store, params, include_target=include_target)
+                 for q in queries]
+        for workers in (1, 2, 3, 8):
+            assert run_batch(queries, graph, store, params, workers=workers,
+                             include_target=include_target) == alone
+    walked = chunk_boundary_queries(query, 33)
+    preds = run_batch(walked, graph, store, params, include_target=include_target)
+    assert {p.predicted is None for p in preds} == {True, False}
+    assert {p.fallback_used for p in preds} == {True, False}
+    if params is None:
+        assert len({p.candidate_scores for p in preds if not p.fallback_used}) > 2
+
+
 def test_run_batch_rejects_unknown_system(lions):
     graph, store, nodes, query = lions
     with pytest.raises(ValueError):
@@ -285,6 +330,34 @@ def test_load_queries_and_offsets(tmp_path):
     assert queries[1].gold_title is None
     assert queries[2].target_index == 7
     assert queries[2].mention == "Cape Town"
+
+
+def test_load_queries_reads_each_context_file_once(tmp_path, monkeypatch):
+    (tmp_path / "doc1.txt").write_text("the Lions in Cape Town", encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "doc2.txt").write_text("Cape Town again", encoding="utf-8")
+    tsv = tmp_path / "queries.tsv"
+    tsv.write_text(
+        "query_id\tmention\tcontext_file\n"
+        "q1\tLions\tdoc1.txt\n"
+        "q2\tCape Town\tsub/../doc1.txt\n"
+        "q3\tCape Town\tsub/doc2.txt\n"
+        "q4\tLions\t./doc1.txt\n",
+        encoding="utf-8")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    queries = load_queries(str(tsv))
+    monkeypatch.undo()
+    assert sum(p.endswith(".txt") for p in opened) == 2
+    assert queries[0].context_tokens is queries[1].context_tokens is queries[3].context_tokens
+    assert queries[2].context_tokens == ("Cape", "Town", "again")
+    assert [q.target_index for q in queries] == [1, 3, 0, 1]
 
 
 def test_load_queries_missing_context_errors(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import graphwalk as gw
 from graphwalk.dictionary import Candidate, DictEntry
@@ -151,6 +152,49 @@ def test_block_walk_equals_single_walks_bitwise(seed, count, iterations):
         alone = engine.run(teleport, params)
         assert np.array_equal(block_ppv.ids, alone.ids)
         assert block_ppv.scores.tobytes() == alone.scores.tobytes()
+
+
+def one_walk_oracle(g, teleport: ScoreVector, params: PprParams) -> np.ndarray:
+    """The one-teleport power iteration the block walk replaced: a dense
+    teleport vector and a 1-D product per step."""
+    n = g.n_nodes
+    outdeg = g.out_degrees()
+    inv = np.zeros(n)
+    inv[outdeg > 0] = 1.0 / outdeg[outdeg > 0]
+    mt = sparse.csr_matrix((np.repeat(inv, outdeg), g.neighbors, g.offsets), shape=(n, n)).T
+    dangling = np.flatnonzero(outdeg == 0)
+    v = np.zeros(n)
+    v[teleport.ids] = teleport.scores
+    p = v.copy()
+    for _ in range(params.iterations):
+        d = float(p[dangling].sum())
+        p = mt.dot(p)
+        p *= params.alpha
+        p += (params.alpha * d + 1.0 - params.alpha) * v
+    return p
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([1, _BLOCK_COLUMNS, _BLOCK_COLUMNS + 3]),
+       iterations=st.sampled_from([0, 1, 15, 30]))
+@settings(max_examples=30, deadline=None)
+def test_block_walk_equals_one_walk_oracle_bitwise(seed, count, iterations):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 60))
+    g = graph_from_arcs(n, random_arc_set(rng, n, force_dangling=True))
+    # teleports drawn from a few shared ids, so columns of one block overlap
+    pool = rng.choice(n, size=min(n, 4), replace=False)
+    teleports = []
+    for _ in range(count):
+        dense = np.zeros(n)
+        ids = rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)
+        dense[ids] = rng.random(len(ids)) + 0.1
+        teleports.append(ScoreVector.from_dense(dense / dense.sum()))
+    params = PprParams(alpha=float(rng.uniform(0.5, 0.99)), iterations=iterations)
+    got = list(PprEngine(g).run_many(teleports, params))
+    assert len(got) == count
+    for teleport, block_ppv in zip(teleports, got):
+        assert block_ppv.to_dense().tobytes() == one_walk_oracle(g, teleport, params).tobytes()
 
 
 def test_repeat_runs_are_bitwise_identical():
