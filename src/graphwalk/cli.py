@@ -16,7 +16,6 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import dictionary as dict_mod
 from . import evaluation as eval_mod
@@ -188,7 +187,7 @@ def cmd_rel(args) -> int:
             g = "" if gold is None else f"{gold:.12g}"
             s = "NA" if score is None else f"{score:.12g}"
             fh.write(f"{t1}\t{t2}\t{g}\t{s}\n")
-    if any(g is None for _, _, g in pairs):
+    if all(g is None for _, _, g in pairs):
         if args.report:
             raise DataError("cannot write a report: dataset has no gold scores")
         return 0
@@ -283,6 +282,7 @@ def cmd_sweep(args) -> int:
                          "take comma-separated numbers") from None
     os.makedirs(args.out, exist_ok=True)
 
+    rel_extra = {"on_unknown": args.on_unknown} if args.task == "rel" else {}
     runtimes = {}
     for spec in sorted({c[0] for c in cells}):
         runtimes[spec] = _load_runtime(args.data, spec)
@@ -301,7 +301,7 @@ def cmd_sweep(args) -> int:
             return name, "skipped"
         nodes, graph, store = runtimes[spec]
         config = _run_config(args.task, args.system, spec, params, opts["seed"],
-                             args.dataset, args.data)
+                             args.dataset, args.data, **rel_extra)
         report, _ = eval_mod.run_eval(
             args.task, args.system, [args.dataset], graph=graph, store=store,
             nodes=nodes, params=params, config=config, seed=opts["seed"],
@@ -311,13 +311,7 @@ def cmd_sweep(args) -> int:
             fh.write(name + "\n")
         return name, "done"
 
-    workers = args.workers or 1
-    if workers <= 1:
-        results = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    for name, status in results:
+    for name, status in ned_mod.map_in_order(run_cell, cells, args.workers or 1):
         print(f"{name}: {status}")
 
     summary_path = os.path.join(args.out, "summary.csv")

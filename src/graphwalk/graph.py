@@ -129,13 +129,7 @@ class TypedGraph:
         return self._derived("_reverse", self._build_reverse)
 
     def _build_reverse(self) -> "TypedGraph":
-        # the CSC form of the adjacency is the reverse graph's CSR: a
-        # transpose keeps each row's ids sorted and duplicate-free
-        n = self.n_nodes
-        csc = sparse.csr_matrix((np.ones(self.n_arcs, dtype=np.int8), self.neighbors,
-                                 self.offsets), shape=(n, n)).tocsc()
-        rev = TypedGraph(csc.indptr.astype(np.int64), csc.indices.astype(np.int32, copy=False),
-                         self.kinds, self.spec, self.flags)
+        rev = _from_adjacency(_adjacency(self).T, self.kinds, self.spec, self.flags)
         rev._reverse = self
         return rev
 
@@ -156,44 +150,45 @@ def _respec(spec: str, mode: str) -> str:
     return f"{mode}({spec})" if spec else ""
 
 
+def _adjacency(g: TypedGraph) -> sparse.csr_matrix:
+    """The boolean adjacency matrix A over the graph's own CSR arrays."""
+    n = g.n_nodes
+    return sparse.csr_matrix((np.ones(g.n_arcs, dtype=bool), g.neighbors, g.offsets),
+                             shape=(n, n))
+
+
+def _from_adjacency(a, kinds: np.ndarray, spec: str, flags) -> TypedGraph:
+    """A graph from a boolean adjacency matrix. scipy's sums, products and
+    CSC-to-CSR conversions of canonical matrices are canonical, so each row
+    comes out sorted and duplicate-free."""
+    a = a.tocsr()
+    return TypedGraph(a.indptr.astype(np.int64), a.indices.astype(np.int32, copy=False),
+                      kinds, spec, flags)
+
+
 def to_undirected(g: TypedGraph) -> TypedGraph:
-    """Symmetric closure: both arc directions for every connected pair."""
-    src, dst = g.arc_arrays()
-    return TypedGraph.from_arcs(g.n_nodes,
-                                np.concatenate([src, dst]),
-                                np.concatenate([dst, src]),
-                                g.kinds, _respec(g.spec, "u"), g.flags)
+    """Symmetric closure A + A^T: both arc directions for every connected pair."""
+    a = _adjacency(g)
+    return _from_adjacency(a + a.T, g.kinds, _respec(g.spec, "u"), g.flags)
 
 
 def filter_reciprocal(g: TypedGraph) -> TypedGraph:
-    """Keep an arc a->b only if b->a is also present; both directions kept."""
-    src, dst = g.arc_arrays()
-    n = np.int64(g.n_nodes)
-    keys = src * n + dst
-    rev = dst * n + src
-    keep = np.isin(keys, rev, assume_unique=True)
-    return TypedGraph.from_arcs(g.n_nodes, src[keep], dst[keep],
-                                g.kinds, _respec(g.spec, "r"), g.flags)
+    """Elementwise A * A^T: keep an arc a->b only if b->a is also present."""
+    a = _adjacency(g)
+    return _from_adjacency(a.multiply(a.T), g.kinds, _respec(g.spec, "r"), g.flags)
 
 
 def merge(graphs: list[TypedGraph]) -> TypedGraph:
-    """Arc union of graphs over one shared node universe."""
+    """Arc union, the sum of the graphs' A, over one shared node universe."""
     if not graphs:
         raise ValueError("merge needs at least one graph")
     base = graphs[0]
     for g in graphs[1:]:
         if g.n_nodes != base.n_nodes or not np.array_equal(g.kinds, base.kinds):
             raise DataError("cannot merge graphs over different node universes")
-    srcs, dsts = [], []
-    flags: list[str] = []
-    for g in graphs:
-        s, d = g.arc_arrays()
-        srcs.append(s)
-        dsts.append(d)
-        flags.extend(f for f in g.flags if f not in flags)
-    spec = "".join(g.spec for g in graphs)
-    return TypedGraph.from_arcs(base.n_nodes, np.concatenate(srcs),
-                                np.concatenate(dsts), base.kinds, spec, flags)
+    flags = list(dict.fromkeys(f for g in graphs for f in g.flags))
+    union = sum((_adjacency(g) for g in graphs[1:]), _adjacency(base))
+    return _from_adjacency(union, base.kinds, "".join(g.spec for g in graphs), flags)
 
 
 def stats(g: TypedGraph) -> dict:

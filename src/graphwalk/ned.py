@@ -228,10 +228,19 @@ def run_batch(queries: list[NedQuery], graph: TypedGraph, store,
     workers = max(1, workers)
     width = max(1, min(_BLOCK_COLUMNS, -(-len(queries) // workers)))
     chunks = [queries[i:i + width] for i in range(0, len(queries), width)]
-    if workers == 1:
-        return [p for chunk in chunks for p in one(chunk)]
+    return [p for preds in map_in_order(one, chunks, workers) for p in preds]
+
+
+def map_in_order(fn, items: list, workers: int) -> list:
+    """``[fn(x) for x in items]``, on ``workers`` threads when more than one.
+
+    One worker runs serially, so the first exception stops the items after
+    it; a pool may already have started them.
+    """
+    if workers <= 1:
+        return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [p for preds in pool.map(one, chunks) for p in preds]
+        return list(pool.map(fn, items))
 
 
 def _target_index(text: str, tokens: list[str], mention: str,
@@ -337,17 +346,18 @@ class CachedHttpResolver:
                 raise DataError(f"{cache_path}: resolver cache is not a JSON object")
 
     def resolve(self, mention: str) -> str | None:
+        # the lock never spans the sleep or the fetch: a cache hit must not wait on a miss
         with self._lock:
             if mention in self._cache:
                 return self._cache[mention]
-            wait = self.min_interval - (time.monotonic() - self._last_call)
-            if wait > 0:
-                time.sleep(wait)
-            self._last_call = time.monotonic()
-            title = self._fetch(mention)
+            now = time.monotonic()
+            self._last_call = slot = max(now, self._last_call + self.min_interval)
+        time.sleep(slot - now)
+        title = self._fetch(mention)
+        with self._lock:
             self._cache[mention] = title
             self._save()
-            return title
+        return title
 
     def _fetch(self, mention: str) -> str | None:
         url = self.url_template.format(query=urllib.parse.quote(mention))

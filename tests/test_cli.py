@@ -184,6 +184,50 @@ def test_rel_ngd_system_and_unknown_zero(workspace, tmp_path):
     assert rows[2][3] == "0"
 
 
+def test_rel_reports_over_the_gold_pairs_as_eval_does(workspace, tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    write_tsv(pairs, "term1\tterm2\tgold", [
+        ("alan kourie", "lions", 3.0),
+        ("cape town", "lions", 2.0),
+        ("fletcher", "lions", ""),
+        ("fletcher", "cape town", 1.5),
+        ("alan kourie", "cape town", 0.5),
+    ])
+    out, rep = tmp_path / "rel.tsv", tmp_path / "rel.json"
+    assert main(["rel", "--data", str(workspace["data"]), "--pairs", str(pairs),
+                 "--out", str(out), "--report", str(rep)]) == 0
+    assert len(out.read_text().splitlines()) == 6  # the blank-gold pair is scored too
+    report = json.loads(rep.read_text())
+    assert report["n"] == 4
+    assert main(["eval", "--task", "rel", "--dataset", str(pairs),
+                 "--preds", str(out)]) == 0
+    rel_line, eval_line = capsys.readouterr().out.splitlines()
+    assert rel_line == f"spearman {report['value']:.4f} on 4 pairs"
+    assert eval_line == f"spearman {report['value']:.4f} on n=4"
+
+
+def test_rel_sweep_cell_reports_record_on_unknown(workspace, tmp_path):
+    pairs = tmp_path / "pairs.tsv"
+    write_tsv(pairs, "term1\tterm2\tgold", [
+        ("alan kourie", "lions", 3.0),
+        ("cape town", "lions", 2.0),
+        ("zzqx", "lions", 1.0),
+        ("fletcher", "cape town", 1.5),
+        ("alan kourie", "cape town", 0.5),
+    ])
+    reports = {}
+    for policy in ("skip", "zero"):
+        out = tmp_path / policy
+        assert main(["sweep", "--data", str(workspace["data"]), "--task", "rel",
+                     "--dataset", str(pairs), "--out", str(out),
+                     "--on-unknown", policy]) == 0
+        (path,) = out.glob("*.json")
+        reports[policy] = json.loads(path.read_text())
+    assert reports["skip"]["config"]["on_unknown"] == "skip"
+    assert reports["zero"]["config"]["on_unknown"] == "zero"
+    assert (reports["skip"]["n"], reports["zero"]["n"]) == (4, 5)
+
+
 def test_iters_alias_runs_a_single_iteration(workspace, tmp_path):
     rep = tmp_path / "r.json"
     assert main(["ned", "--data", str(workspace["data"]),

@@ -192,6 +192,60 @@ def test_reverse_equals_from_arcs_with_swapped_ends():
         assert_same_arrays(fresh.reverse(), g)
 
 
+def assert_same_graph(a: gw.TypedGraph, b: gw.TypedGraph) -> None:
+    assert_same_arrays(a, b)
+    assert a.kinds.dtype == b.kinds.dtype == np.uint8
+    assert np.array_equal(a.kinds, b.kinds)
+    assert (a.spec, a.flags) == (b.spec, b.flags)
+
+
+# the transforms' spec naming: (undirected, reciprocal) for each input spec
+_RESPEC = {"Hd": ("Hu", "Hr"), "Cd": ("Cu", "Cr"), "HrCu": ("u(HrCu)", "r(HrCu)"),
+           "": ("", "")}
+
+
+def test_transforms_equal_from_arcs_on_concatenated_or_masked_arcs():
+    """Each transform's arrays, kinds, spec and flags equal ``from_arcs`` on
+    the arc arrays it stands for: concatenated for a union, key-masked for
+    the reciprocal filter, swapped for the reverse."""
+    rng = np.random.default_rng(808)
+    flag_pool = ("experimental:Cr", "x", "y")
+    specs = list(_RESPEC)
+    cases = []
+    for i in range(300):
+        # zero nodes, zero arcs, sparse graphs with isolated nodes, and dense
+        # ones with self-loops and duplicate arcs
+        n = 0 if i % 50 == 0 else int(rng.integers(1, 40))
+        m = 0 if i % 7 == 0 else int(rng.integers(0, 4 * n + 1))
+        kinds = rng.integers(0, 2, n).astype(np.uint8)
+        graphs = []
+        for _ in range(int(rng.integers(1, 4))):
+            flags = tuple(rng.choice(flag_pool, size=int(rng.integers(0, 3))).tolist())
+            graphs.append(gw.TypedGraph.from_arcs(
+                n, rng.integers(0, max(n, 1), m if n else 0),
+                rng.integers(0, max(n, 1), m if n else 0), kinds,
+                specs[int(rng.integers(0, len(specs)))], flags))
+        cases.append((n, kinds, graphs))
+    for n, kinds, graphs in cases:
+        g = graphs[0]
+        s, d = g.arc_arrays()
+        und_spec, rec_spec = _RESPEC[g.spec]
+        assert_same_graph(gw.to_undirected(g), gw.TypedGraph.from_arcs(
+            n, np.concatenate([s, d]), np.concatenate([d, s]), kinds, und_spec, g.flags))
+        keep = np.isin(s * n + d, d * n + s)
+        assert_same_graph(gw.filter_reciprocal(g), gw.TypedGraph.from_arcs(
+            n, s[keep], d[keep], kinds, rec_spec, g.flags))
+        assert_same_graph(g.reverse(), gw.TypedGraph.from_arcs(n, d, s, kinds, g.spec,
+                                                               g.flags))
+        for parts in (graphs[:1], graphs):
+            arcs = [p.arc_arrays() for p in parts]
+            flags = list(dict.fromkeys(f for p in parts for f in p.flags))
+            assert_same_graph(gw.merge(parts), gw.TypedGraph.from_arcs(
+                n, np.concatenate([a for a, _ in arcs]),
+                np.concatenate([b for _, b in arcs]), kinds,
+                "".join(p.spec for p in parts), flags))
+
+
 def test_from_arcs_collapses_duplicates_like_unique():
     rng = np.random.default_rng(8)
     for n in (1, 2, 7, 40):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from graphwalk.dictionary import Candidate, Dictionary
 from graphwalk.graph import NodeTable
 from graphwalk.ned import (CachedHttpResolver, NedQuery, disambiguate,
                            extract_context, generate_candidates, load_queries,
-                           mfs_baseline, ngd_disambiguate, run_batch,
+                           map_in_order, mfs_baseline, ngd_disambiguate, run_batch,
                            write_predictions)
 from graphwalk.ppr import PprParams
 
@@ -404,6 +408,81 @@ def test_cached_resolver_caches_and_degrades(tmp_path, monkeypatch):
                                    min_interval=0.0)
     monkeypatch.setattr(resolver2, "_fetch", lambda m: pytest.fail("not cached"))
     assert resolver2.resolve("Alpha") == "Alpha_Page"
+
+
+def test_cached_mention_resolves_while_a_miss_is_fetching(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps({"Alpha": "Alpha_Page"}), encoding="utf-8")
+    resolver = CachedHttpResolver("http://example.invalid/{query}", str(cache),
+                                  min_interval=0.0)
+    fetching, release = threading.Event(), threading.Event()
+
+    def blocking_fetch(mention):
+        fetching.set()
+        release.wait(10)
+        return mention + "_Page"
+
+    monkeypatch.setattr(resolver, "_fetch", blocking_fetch)
+    results = {}
+    miss = threading.Thread(target=lambda: results.update(beta=resolver.resolve("Beta")))
+    hit = threading.Thread(target=lambda: results.update(alpha=resolver.resolve("Alpha")))
+    miss.start()
+    try:
+        assert fetching.wait(5)
+        hit.start()
+        hit.join(2)
+        assert not hit.is_alive(), "a cache hit waited behind another thread's fetch"
+    finally:
+        release.set()
+        miss.join(5)
+        hit.join(5)
+    assert not miss.is_alive()
+    assert results == {"alpha": "Alpha_Page", "beta": "Beta_Page"}
+    assert json.loads(cache.read_text()) == {"Alpha": "Alpha_Page", "Beta": "Beta_Page"}
+
+
+def test_resolver_keeps_every_answer_and_spaces_calls_under_threads(tmp_path,
+                                                                   monkeypatch):
+    resolver = CachedHttpResolver("http://example.invalid/{query}",
+                                  str(tmp_path / "cache.json"), min_interval=0.002)
+    starts = []
+    monkeypatch.setattr(resolver, "_fetch",
+                        lambda m: starts.append(time.monotonic()) or m.upper())
+    mentions = [f"m{i}" for i in range(40)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    begin = time.monotonic()
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            answers = list(pool.map(resolver.resolve, mentions * 2))
+    finally:
+        sys.setswitchinterval(switch)
+    assert answers == [m.upper() for m in mentions * 2]
+    assert json.loads((tmp_path / "cache.json").read_text()) == {m: m.upper()
+                                                                for m in mentions}
+    # each miss reserves the next call slot, min_interval after the one before
+    assert len(starts) >= len(mentions)
+    assert max(starts) - begin >= (len(mentions) - 1) * 0.002 - 1e-6
+
+
+def test_map_in_order_is_serial_at_one_worker():
+    ran = []
+
+    def fail_on_two(x):
+        ran.append(x)
+        if x == 2:
+            raise RuntimeError("cell failed")
+        return x * 10
+
+    assert map_in_order(fail_on_two, [0, 1, 3], 1) == [0, 10, 30]
+    assert map_in_order(fail_on_two, [3, 1, 0, 4], 3) == [30, 10, 0, 40]
+    for workers in (0, 1):
+        ran.clear()
+        with pytest.raises(RuntimeError):
+            map_in_order(fail_on_two, [0, 1, 2, 3, 4], workers)
+        assert ran == [0, 1, 2]
+    with pytest.raises(RuntimeError):
+        map_in_order(fail_on_two, [0, 1, 2, 3, 4], 2)
 
 
 def test_resolver_network_failure_returns_none(tmp_path):
