@@ -1,10 +1,12 @@
 """Command line entry points: ingest, build, rel, ned, eval, sweep.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Option precedence is
-CLI flag > ``--config`` file (key=value lines) > built-in defaults; the
-defaults are the standard run configuration (graph Hr, alpha 0.85, 30
-iterations for relatedness and 15 for disambiguation, prior initialization
-on, k 5000 for relatedness vectors).
+Exit codes: 0 success, 1 usage error, 2 data error. A walk command's run
+values are ``spec``, ``alpha``, ``iterations``, ``k`` and ``prior``; each
+comes from its CLI flag, else from its ``--config`` file line (key=value),
+else from the task's defaults: graph ``DEFAULT_SPEC`` and the walk
+parameters ``PprParams()`` for relatedness, ``ned.DEFAULT_NED_PARAMS`` for
+disambiguation. ``_coerce`` parses the values of config lines, of ``--k`` and
+of the sweep axes.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ from .errors import DataError
 from .ppr import PprParams
 from .tsv import _undecodable_line
 
-REL_DEFAULTS = {"spec": "Hr", "alpha": 0.85, "iterations": 30, "k": 5000,
-                "prior": True, "seed": 0}
-NED_DEFAULTS = {"spec": "Hr", "alpha": 0.85, "iterations": 15, "k": None,
-                "prior": True, "seed": 0}
+DEFAULT_SPEC = "Hr"
+DEFAULT_PARAMS = {"rel": PprParams(), "ned": ned_mod.DEFAULT_NED_PARAMS}
 
 
 class UsageError(Exception):
@@ -56,6 +56,8 @@ def _parse_config_file(path: str) -> dict:
                 key, value = (part.strip() for part in line.split("=", 1))
                 try:
                     out[key] = _coerce(key, value)
+                except KeyError:
+                    raise DataError(f"{path}:{lineno}: unknown key {key!r}") from None
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
         except UnicodeDecodeError:
@@ -64,9 +66,12 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, raw: str):
+    """Parse one run value; an unknown key is a KeyError, a bad value a ValueError."""
+    if key == "spec":
+        return raw
     if key == "alpha":
         return float(raw)
-    if key in ("iterations", "seed"):
+    if key == "iterations":
         return int(raw)
     if key == "k":
         return None if raw.lower() in ("none", "") else int(raw)
@@ -76,22 +81,18 @@ def _coerce(key: str, raw: str):
         if raw.lower() in ("0", "false", "no", "nop"):
             return False
         raise ValueError(raw)
-    return raw
+    raise KeyError(key)
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Merge CLI values over config-file values over defaults."""
-    cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for key, default in defaults.items():
-        cli_val = getattr(args, key, None)
-        if key == "prior" and getattr(args, "no_prior", False):
-            cli_val = False
-        if cli_val is not None:
-            out[key] = cli_val
-        else:
-            out[key] = cfg.get(key, default)
-    return out
+def _resolve(args, task: str) -> dict:
+    """The run values: CLI flags over the ``--config`` file over the task's defaults."""
+    params = DEFAULT_PARAMS[task]
+    opts = {"spec": DEFAULT_SPEC, "alpha": params.alpha, "iterations": params.iterations,
+            "k": params.k, "prior": params.prior_init}
+    if args.config:
+        opts.update(_parse_config_file(args.config))
+    opts.update((key, value) for key, value in vars(args).items() if key in opts)
+    return opts
 
 
 def _walk_params(alpha: float, iterations: int, k: int | None, prior: bool) -> PprParams:
@@ -102,13 +103,13 @@ def _walk_params(alpha: float, iterations: int, k: int | None, prior: bool) -> P
         raise UsageError(str(exc)) from None
 
 
-def _run_config(task: str, system: str, spec: str, params: PprParams, seed: int,
+def _run_config(task: str, system: str, spec: str, params: PprParams,
                 dataset: str, data: str, **extra) -> dict:
     """The run configuration every report embeds."""
     return {"task": task, "system": system, "graph_spec": spec,
             "alpha": params.alpha, "iterations": params.iterations, "k": params.k,
-            "prior_init": params.prior_init, "seed": seed, "dataset": dataset,
-            "data": data, **extra}
+            "prior_init": params.prior_init, "dataset": dataset, "data": data,
+            **extra}
 
 
 def _validate_spec(spec: str) -> str:
@@ -176,7 +177,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_rel(args) -> int:
-    opts = _resolve(args, REL_DEFAULTS)
+    opts = _resolve(args, "rel")
     params = _walk_params(opts["alpha"], opts["iterations"], opts["k"], opts["prior"])
     nodes, graph, store = _load_runtime(args.data, opts["spec"], args.sqlite_dict)
     pairs = eval_mod.load_relatedness_pairs(args.pairs)
@@ -191,8 +192,8 @@ def cmd_rel(args) -> int:
         if args.report:
             raise DataError("cannot write a report: dataset has no gold scores")
         return 0
-    config = _run_config("rel", args.system, opts["spec"], params, opts["seed"],
-                         args.pairs, args.data, on_unknown=args.on_unknown)
+    config = _run_config("rel", args.system, opts["spec"], params, args.pairs, args.data,
+                         on_unknown=args.on_unknown)
     report = eval_mod.rel_run_report(args.pairs, rows, args.baseline or [], config)
     print(f"spearman {report.value:.4f} on {report.n} pairs")
     if args.report:
@@ -201,7 +202,7 @@ def cmd_rel(args) -> int:
 
 
 def cmd_ned(args) -> int:
-    opts = _resolve(args, NED_DEFAULTS)
+    opts = _resolve(args, "ned")
     params = _walk_params(opts["alpha"], opts["iterations"], opts["k"], opts["prior"])
     nodes, graph, store = _load_runtime(args.data, opts["spec"], args.sqlite_dict)
     redirects = eval_mod.load_redirect_map(args.redirects) if args.redirects else None
@@ -219,8 +220,7 @@ def cmd_ned(args) -> int:
         if args.report:
             raise DataError("cannot write a report: queries have no gold titles")
         return 0
-    config = _run_config("ned", args.system, opts["spec"], params, opts["seed"],
-                         args.queries, args.data,
+    config = _run_config("ned", args.system, opts["spec"], params, args.queries, args.data,
                          include_target=not args.context_only_teleport)
     report = eval_mod.ned_run_report(args.queries, queries, preds, nodes, [], config,
                                      redirects)
@@ -250,19 +250,15 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_cells(args, opts):
-    def axis(raw, cast, default):
-        if raw is None:
-            return [default]
-        return [cast(x) for x in raw.split(",") if x != ""]
-
-    graphs = axis(args.graphs, str, opts["spec"])
-    alphas = axis(args.alphas, float, opts["alpha"])
-    iters = axis(args.iters, int, opts["iterations"])
-    ks = axis(args.ks, lambda x: None if x.lower() == "none" else int(x), opts["k"])
-    priors = axis(args.priors, lambda x: {"p": True, "nop": False}[x.lower()],
-                  opts["prior"])
-    cells = [(spec, _walk_params(*walk))
-             for spec, *walk in itertools.product(graphs, alphas, iters, ks, priors)]
+    axes = []
+    for key, raw in (("spec", args.graphs), ("alpha", args.alphas),
+                     ("iterations", args.iters), ("k", args.ks), ("prior", args.priors)):
+        try:
+            axes.append([opts[key]] if raw is None else
+                        [_coerce(key, x) for x in raw.split(",") if x != ""])
+        except ValueError:
+            raise UsageError(f"bad sweep value in {raw!r} for {key}") from None
+    cells = [(spec, _walk_params(*walk)) for spec, *walk in itertools.product(*axes)]
     if not cells:
         raise UsageError("sweep grid is empty")
     return cells
@@ -273,16 +269,12 @@ def cmd_sweep(args) -> int:
     if args.system not in systems:
         raise UsageError(f"--system for --task {args.task} must be one of "
                          f"{', '.join(systems)}, got {args.system!r}")
-    defaults = NED_DEFAULTS if args.task == "ned" else REL_DEFAULTS
-    opts = _resolve(args, defaults)
-    try:
-        cells = _sweep_cells(args, opts)
-    except (KeyError, ValueError):
-        raise UsageError("bad sweep axis value; priors take P/noP, the rest "
-                         "take comma-separated numbers") from None
+    if args.task == "ned" and args.on_unknown:
+        raise UsageError("--on-unknown applies to --task rel only")
+    cells = _sweep_cells(args, _resolve(args, args.task))
     os.makedirs(args.out, exist_ok=True)
 
-    rel_extra = {"on_unknown": args.on_unknown} if args.task == "rel" else {}
+    rel_extra = {"on_unknown": args.on_unknown or "skip"} if args.task == "rel" else {}
     runtimes = {}
     for spec in sorted({c[0] for c in cells}):
         runtimes[spec] = _load_runtime(args.data, spec)
@@ -300,12 +292,11 @@ def cmd_sweep(args) -> int:
         if os.path.exists(marker):
             return name, "skipped"
         nodes, graph, store = runtimes[spec]
-        config = _run_config(args.task, args.system, spec, params, opts["seed"],
-                             args.dataset, args.data, **rel_extra)
+        config = _run_config(args.task, args.system, spec, params, args.dataset, args.data,
+                             **rel_extra)
         report, _ = eval_mod.run_eval(
             args.task, args.system, [args.dataset], graph=graph, store=store,
-            nodes=nodes, params=params, config=config, seed=opts["seed"],
-            on_unknown=args.on_unknown)
+            nodes=nodes, params=params, config=config, **rel_extra)
         report.write(report_path)
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write(name + "\n")
@@ -334,15 +325,16 @@ def cmd_sweep(args) -> int:
 
 def _add_common_run_args(p):
     p.add_argument("--data", required=True, help="directory with build outputs")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--spec", help="graph spec (default Hr)")
-    p.add_argument("--alpha", type=float, help="link-follow probability")
-    p.add_argument("--iterations", "--iters", type=int, dest="iterations")
-    p.add_argument("--k", type=lambda s: None if s.lower() == "none" else int(s),
-                   help="PPV truncation rank, or 'none'")
-    p.add_argument("--no-prior", action="store_true",
-                   help="uniform teleport initialization instead of priors")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--config", help="file of key=value lines: spec, alpha, iterations, k, prior")
+    # an absent flag leaves no attribute, so a given "--k none" still overrides
+    walk = p.add_argument_group("walk", argument_default=argparse.SUPPRESS)
+    walk.add_argument("--spec", help=f"graph spec (default {DEFAULT_SPEC})")
+    walk.add_argument("--alpha", type=float, help="link-follow probability")
+    walk.add_argument("--iterations", "--iters", type=int, dest="iterations")
+    walk.add_argument("--k", type=lambda raw: _coerce("k", raw),
+                      help="PPV truncation rank, or 'none'")
+    walk.add_argument("--no-prior", action="store_const", const=False, dest="prior",
+                      help="uniform teleport initialization instead of priors")
     p.add_argument("--sqlite-dict", action="store_true",
                    help="serve the dictionary from dict.sqlite if present")
 
@@ -363,7 +355,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build", help="build graph and dictionary snapshots")
     p.add_argument("--ingest-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--specs", default="Hr", help="comma list of graph specs")
+    p.add_argument("--specs", default=DEFAULT_SPEC, help="comma list of graph specs")
     p.add_argument("--sqlite-dict", action="store_true")
     p.set_defaults(func=cmd_build)
 
@@ -406,8 +398,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="grid of runs over walk parameters")
     p.add_argument("--data", required=True, help="directory with build outputs")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--config", help="file of key=value lines: spec, alpha, iterations, k, prior")
     p.add_argument("--task", choices=("rel", "ned"), required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
@@ -416,9 +407,10 @@ def build_parser() -> _Parser:
     p.add_argument("--alphas", help="comma list of damping factors")
     p.add_argument("--iters", help="comma list of iteration counts")
     p.add_argument("--ks", help="comma list of truncation ranks ('none' allowed)")
-    p.add_argument("--priors", help="comma list of P/noP")
+    p.add_argument("--priors", help="comma list of P/noP (or true/false)")
     p.add_argument("--workers", type=int)
-    p.add_argument("--on-unknown", choices=("skip", "zero"), default="skip")
+    p.add_argument("--on-unknown", choices=("skip", "zero"),
+                   help="rel only: skip (default) or zero the pairs with an unknown term")
     p.set_defaults(func=cmd_sweep)
     return parser
 

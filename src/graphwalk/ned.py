@@ -344,6 +344,10 @@ class CachedHttpResolver:
                     raise DataError(f"{cache_path}: bad resolver cache: {exc}") from None
             if not isinstance(self._cache, dict):
                 raise DataError(f"{cache_path}: resolver cache is not a JSON object")
+            for mention, title in self._cache.items():
+                if title is not None and not isinstance(title, str):
+                    raise DataError(f"{cache_path}: resolver cache value for {mention!r} "
+                                    f"is not a title or null")
 
     def resolve(self, mention: str) -> str | None:
         # the lock never spans the sleep or the fetch: a cache hit must not wait on a miss

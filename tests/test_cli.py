@@ -261,6 +261,34 @@ def test_config_file_and_flag_precedence(workspace, tmp_path):
     assert config["k"] is None
 
 
+def test_k_none_flag_overrides_the_config_file_and_the_default(workspace, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=3\n", encoding="utf-8")
+    ks = {}
+    for name, flags in (("default", []), ("config", ["--config", str(cfg)]),
+                        ("none", ["--k", "none"]),
+                        ("config_none", ["--config", str(cfg), "--k", "none"])):
+        rep = tmp_path / f"{name}.json"
+        assert main(["rel", "--data", str(workspace["data"]), "--pairs", str(workspace["pairs"]),
+                     "--out", str(tmp_path / f"{name}.tsv"), "--report", str(rep),
+                     *flags]) == 0
+        ks[name] = json.loads(rep.read_text())["config"]["k"]
+    assert ks == {"default": 5000, "config": 3, "none": None, "config_none": None}
+
+
+def test_sweep_prior_values_parse_as_the_prior_key_does(workspace, tmp_path):
+    summaries = []
+    for priors in ("P,noP", "true,0"):
+        out = tmp_path / priors.replace(",", "_")
+        assert main(["sweep", "--data", str(workspace["data"]), "--task", "ned",
+                     "--dataset", str(workspace["queries"]), "--out", str(out),
+                     "--iters", "5", "--priors", priors]) == 0
+        summaries.append((out / "summary.csv").read_bytes())
+        assert sorted(p.name for p in out.glob("*.json")) == [
+            "Hr_a0.85_i5_knone_P.json", "Hr_a0.85_i5_knone_noP.json"]
+    assert summaries[0] == summaries[1]
+
+
 def test_sqlite_dictionary_backend_matches(workspace, tmp_path):
     out_mem = tmp_path / "mem.tsv"
     out_db = tmp_path / "db.tsv"
@@ -436,8 +464,16 @@ def test_scoring_errors_are_data_errors(workspace, tmp_path, capsys, scores,
     ("rel", [], "# walk\nprior=maybe\n", 2, "run.cfg:2: bad value 'maybe' for 'prior'"),
     ("sweep", ["--task", "rel", "--system", "mfs"], None, 1,
      "--system for --task rel must be one of ppr, ngd, got 'mfs'"),
+    ("ned", [], "alpha=0.7\nalhpa=0.7\n", 2, "run.cfg:2: unknown key 'alhpa'"),
+    ("rel", [], "seed=3\n", 2, "run.cfg:1: unknown key 'seed'"),
+    ("rel", ["--seed", "1"], None, 1, "unrecognized arguments: --seed 1"),
+    ("ned", ["--seed", "1"], None, 1, "unrecognized arguments: --seed 1"),
+    ("sweep", ["--seed", "1"], None, 1, "unrecognized arguments: --seed 1"),
+    ("sweep", ["--on-unknown", "zero"], None, 1, "--on-unknown applies to --task rel only"),
+    ("sweep", ["--priors", "P,maybe"], None, 1, "bad sweep value in 'P,maybe' for prior"),
 ], ids=["alpha_flag", "negative_iterations", "sweep_alphas", "config_alpha",
-        "config_prior", "sweep_system_for_task"])
+        "config_prior", "sweep_system_for_task", "config_typo_key", "config_seed_key",
+        "rel_seed", "ned_seed", "sweep_seed", "ned_sweep_on_unknown", "sweep_priors"])
 def test_bad_walk_parameters_stop_before_any_output(workspace, tmp_path, capsys, command,
                                                     flags, config, code, message):
     inputs = {"rel": ["--pairs", str(workspace["pairs"])],

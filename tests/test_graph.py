@@ -8,11 +8,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphwalk as gw
 from graphwalk.errors import DataError
 from graphwalk.graph import (build_graph, load_edge_file, load_nodes,
                              load_snapshot, parse_graph_spec, save_snapshot)
+from graphwalk.ppr import PprEngine, PprParams, ScoreVector
 
 from conftest import (arc_set_of, graph_from_arcs, naive_merge,
                       naive_reciprocal, naive_undirected, random_arc_set)
@@ -430,3 +433,41 @@ def test_every_cut_or_padding_of_a_snapshot_is_a_data_error(lions, tmp_path, kin
     path.write_bytes(whole + b"\0\0")
     with pytest.raises(DataError, match="truncated or corrupt snapshot"):
         load(str(path))
+
+
+# 7 nodes (articles and categories), node 6 dangling, a spec and a flag
+_FUZZ_GRAPH = gw.TypedGraph.from_arcs(
+    7, [0, 0, 1, 2, 3, 3, 4, 5, 5], [1, 2, 0, 3, 4, 6, 5, 0, 6],
+    kinds=np.array([0, 0, 1, 0, 1, 0, 1], dtype=np.uint8), spec="HrCu",
+    flags=("experimental:Cr",))
+
+
+@given(mutation=st.one_of(
+    st.tuples(st.just("flip"), st.integers(min_value=0)),
+    st.tuples(st.just("cut"), st.integers(min_value=0)),
+    st.tuples(st.just("pad"), st.binary(min_size=1, max_size=8))))
+@settings(max_examples=400, deadline=None)
+def test_any_bit_flip_cut_or_pad_of_a_snapshot_is_rejected_or_walks_soundly(
+        tmp_path_factory, mutation):
+    path = tmp_path_factory.getbasetemp() / "fuzz.gwkb"
+    save_snapshot(_FUZZ_GRAPH, str(path))
+    blob = bytearray(path.read_bytes())
+    kind, arg = mutation
+    if kind == "flip":
+        arg %= 8 * len(blob)
+        blob[arg // 8] ^= 1 << (arg % 8)
+    elif kind == "cut":
+        del blob[arg % len(blob):]
+    else:
+        blob += arg
+    path.write_bytes(bytes(blob))
+    try:
+        g = load_snapshot(str(path))
+    except DataError:
+        return
+    assert kind == "flip"
+    assert len(g.kinds) == g.n_nodes
+    teleports = [ScoreVector(np.array([u], dtype=np.int64), np.ones(1), g.n_nodes)
+                 for u in range(g.n_nodes)]
+    for walk in PprEngine(g).run_many(teleports, PprParams(k=None)):
+        assert abs(walk.total() - 1.0) <= 1e-9

@@ -513,6 +513,9 @@ def test_load_queries_rejects_empty_mention(tmp_path):
 @pytest.mark.parametrize("content, message", [
     ("{bad", "bad resolver cache"),
     ("[1, 2]", "resolver cache is not a JSON object"),
+    ('{"zzqx": ["Lions"]}', "resolver cache value for 'zzqx' is not a title or null"),
+    ('{"Alpha": "Alpha_Page", "zzqx": 5}',
+     "resolver cache value for 'zzqx' is not a title or null"),
 ])
 def test_corrupt_resolver_cache_is_a_data_error(tmp_path, content, message):
     cache = tmp_path / "cache.json"
