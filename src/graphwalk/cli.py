@@ -6,7 +6,10 @@ comes from its CLI flag, else from its ``--config`` file line (key=value),
 else from the task's defaults: graph ``DEFAULT_SPEC`` and the walk
 parameters ``PprParams()`` for relatedness, ``ned.DEFAULT_NED_PARAMS`` for
 disambiguation. ``_coerce`` parses the values of config lines, of ``--k`` and
-of the sweep axes.
+of the sweep axes; a config value outside ``PprParams``' ranges is a data
+error at its line. ``--workers`` on ``rel`` and ``ned`` is the walk thread
+count (default: every core); on ``sweep`` it is the number of cells run at
+once, and cells run together walk on one thread each.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from . import ingest as ingest_mod
 from . import ned as ned_mod
 from . import relatedness as rel_mod
 from .errors import DataError
+from .parallel import map_in_order
 from .ppr import PprParams
 from .tsv import _undecodable_line
 
@@ -60,6 +64,11 @@ def _parse_config_file(path: str) -> dict:
                     raise DataError(f"{path}:{lineno}: unknown key {key!r}") from None
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
+                if key in ("alpha", "iterations", "k"):
+                    try:
+                        PprParams(**{key: out[key]})
+                    except ValueError as exc:
+                        raise DataError(f"{path}:{lineno}: {exc}") from None
         except UnicodeDecodeError:
             raise DataError(f"{path}:{_undecodable_line(path)}: invalid UTF-8") from None
     return out
@@ -82,6 +91,12 @@ def _coerce(key: str, raw: str):
             return False
         raise ValueError(raw)
     raise KeyError(key)
+
+
+def _worker_count(raw: str) -> int:
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _resolve(args, task: str) -> dict:
@@ -181,7 +196,8 @@ def cmd_rel(args) -> int:
     params = _walk_params(opts["alpha"], opts["iterations"], opts["k"], opts["prior"])
     nodes, graph, store = _load_runtime(args.data, opts["spec"], args.sqlite_dict)
     pairs = eval_mod.load_relatedness_pairs(args.pairs)
-    rows = rel_mod.score_pairs(pairs, graph, store, params, args.system, args.on_unknown)
+    rows = rel_mod.score_pairs(pairs, graph, store, params, args.system, args.on_unknown,
+                               args.workers)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("term1\tterm2\tgold\tscore\n")
         for t1, t2, gold, score in rows:
@@ -212,7 +228,7 @@ def cmd_ned(args) -> int:
         cache = args.resolver_cache or os.path.join(args.data, "resolver_cache.json")
         resolver = ned_mod.CachedHttpResolver(args.resolver_url, cache)
     preds = ned_mod.run_batch(queries, graph, store, params,
-                              system=args.system, workers=args.workers or 1,
+                              system=args.system, workers=args.workers,
                               resolver=resolver, nodes=nodes,
                               include_target=not args.context_only_teleport)
     ned_mod.write_predictions(preds, nodes, args.out)
@@ -275,6 +291,8 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     rel_extra = {"on_unknown": args.on_unknown or "skip"} if args.task == "rel" else {}
+    # cells on several threads walk on one thread each, so pools never nest
+    walk_workers = None if args.workers == 1 else 1
     runtimes = {}
     for spec in sorted({c[0] for c in cells}):
         runtimes[spec] = _load_runtime(args.data, spec)
@@ -296,13 +314,13 @@ def cmd_sweep(args) -> int:
                              **rel_extra)
         report, _ = eval_mod.run_eval(
             args.task, args.system, [args.dataset], graph=graph, store=store,
-            nodes=nodes, params=params, config=config, **rel_extra)
+            nodes=nodes, params=params, config=config, workers=walk_workers, **rel_extra)
         report.write(report_path)
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write(name + "\n")
         return name, "done"
 
-    for name, status in ned_mod.map_in_order(run_cell, cells, args.workers or 1):
+    for name, status in map_in_order(run_cell, cells, args.workers):
         print(f"{name}: {status}")
 
     summary_path = os.path.join(args.out, "summary.csv")
@@ -337,6 +355,8 @@ def _add_common_run_args(p):
                       help="uniform teleport initialization instead of priors")
     p.add_argument("--sqlite-dict", action="store_true",
                    help="serve the dictionary from dict.sqlite if present")
+    p.add_argument("--workers", type=_worker_count,
+                   help="walk threads (default: every core)")
 
 
 def build_parser() -> _Parser:
@@ -376,7 +396,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--system", choices=("ppr", "ngd", "mfs"), default="ppr")
-    p.add_argument("--workers", type=int)
     p.add_argument("--redirects", help="old_title \\t new_title mapping TSV")
     p.add_argument("--context-only-teleport", action="store_true",
                    help="exclude the target's own candidates from the teleport")
@@ -408,7 +427,8 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", help="comma list of iteration counts")
     p.add_argument("--ks", help="comma list of truncation ranks ('none' allowed)")
     p.add_argument("--priors", help="comma list of P/noP (or true/false)")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="cells run at once (default 1, whose cell walks on every core)")
     p.add_argument("--on-unknown", choices=("skip", "zero"),
                    help="rel only: skip (default) or zero the pairs with an unknown term")
     p.set_defaults(func=cmd_sweep)

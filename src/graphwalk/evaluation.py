@@ -296,13 +296,14 @@ def run_eval(task: str, system: str, dataset_paths: list[str], *,
              params: PprParams | None = None, config: dict | None = None,
              baseline_paths: list[str] | None = None,
              resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
-             on_unknown: str = "skip"):
+             on_unknown: str = "skip", workers: int | None = None):
     """Run one system over one or more datasets (pooled) and score it.
 
     Returns (EvalReport, predictions). Multiple dataset paths are
     concatenated before the metric and the significance test, so pooled
     comparisons use a single test over all instances. Without ``params``
-    each task walks with its own defaults.
+    each task walks with its own defaults. The walks run on ``workers``
+    threads (None: every core).
     """
     name = "+".join(dataset_paths)
     config = dict(config or {})
@@ -312,14 +313,14 @@ def run_eval(task: str, system: str, dataset_paths: list[str], *,
 
     if task == "rel":
         pairs = [p for path in dataset_paths for p in load_relatedness_pairs(path)]
-        rows = rel_mod.score_pairs(pairs, graph, store, params, system, on_unknown)
+        rows = rel_mod.score_pairs(pairs, graph, store, params, system, on_unknown, workers)
         return rel_run_report(name, rows, baselines, config), rows
 
     if task != "ned":
         raise ValueError(f"unknown task {task!r}")
 
     queries = [q for path in dataset_paths for q in ned_mod.load_queries(path)]
-    preds = ned_mod.run_batch(queries, graph, store, params, system, nodes=nodes)
+    preds = ned_mod.run_batch(queries, graph, store, params, system, workers, nodes=nodes)
     return ned_run_report(name, queries, preds, nodes, baselines, config,
                           resamples=resamples, seed=seed), preds
 

@@ -9,13 +9,13 @@ import threading
 import time
 import urllib.parse
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .dictionary import Candidate, DictEntry, longest_match_scan, normalize_mention
 from .errors import DataError
 from .graph import NodeTable, TypedGraph
-from .ppr import (_BLOCK_COLUMNS, PprParams, _engine_for, build_teleport,
+from .parallel import map_chunks
+from .ppr import (PprParams, _engine_for, build_teleport,
                   run_ppr)  # noqa: F401  (perfbench/spans.py wraps ned.run_ppr by name)
 from .relatedness import ngd_relatedness
 from .tsv import read_tsv
@@ -205,14 +205,15 @@ def mfs_baseline(query: NedQuery, store, resolver=None,
 
 def run_batch(queries: list[NedQuery], graph: TypedGraph, store,
               params: PprParams | None = None, system: str = "ppr",
-              workers: int = 1, resolver=None, nodes: NodeTable | None = None,
+              workers: int | None = None, resolver=None,
+              nodes: NodeTable | None = None,
               include_target: bool = True) -> list[NedPrediction]:
     """Disambiguate a batch, preserving query order.
 
-    The walk system cuts the batch into chunks of up to ``_BLOCK_COLUMNS``
-    queries, about one per worker, and walks each chunk in one block. Every
-    walk is bitwise equal to walking its query alone, so results do not
-    depend on the worker count.
+    The batch is cut into chunks as ``parallel.map_chunks`` cuts it, on
+    ``workers`` threads (None: every core), and the walk system walks each
+    chunk in one block. Every walk is bitwise equal to walking its query
+    alone, so results do not depend on the worker count.
     """
     if system not in ("ppr", "ngd", "mfs"):
         raise ValueError(f"unknown NED system {system!r}")
@@ -225,22 +226,9 @@ def run_batch(queries: list[NedQuery], graph: TypedGraph, store,
             return [ngd_disambiguate(q, graph, store, resolver, nodes) for q in chunk]
         return [mfs_baseline(q, store, resolver, nodes) for q in chunk]
 
-    workers = max(1, workers)
-    width = max(1, min(_BLOCK_COLUMNS, -(-len(queries) // workers)))
-    chunks = [queries[i:i + width] for i in range(0, len(queries), width)]
-    return [p for preds in map_in_order(one, chunks, workers) for p in preds]
-
-
-def map_in_order(fn, items: list, workers: int) -> list:
-    """``[fn(x) for x in items]``, on ``workers`` threads when more than one.
-
-    One worker runs serially, so the first exception stops the items after
-    it; a pool may already have started them.
-    """
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    if system == "ppr":
+        _engine_for(graph)  # built once here, not raced for by the workers
+    return map_chunks(one, queries, workers)
 
 
 def _target_index(text: str, tokens: list[str], mention: str,

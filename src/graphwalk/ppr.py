@@ -192,10 +192,15 @@ def run_ppr(graph: TypedGraph, teleport: ScoreVector,
 def truncate_ppv(ppv: ScoreVector, k: int | None) -> ScoreVector:
     """Keep the top-k entries by score (boundary ties to the lower node id).
 
-    No renormalization: the cosine downstream is scale-invariant.
+    No renormalization: the cosine downstream is scale-invariant. Selects in
+    O(nnz): every entry above the k-th largest score, then the entries at
+    that score in id order until there are k.
     """
     if k is None or k >= ppv.nnz:
         return ppv
-    order = np.lexsort((ppv.ids, -ppv.scores))
-    keep = np.sort(order[:k])
-    return ScoreVector(ppv.ids[keep], ppv.scores[keep], ppv.dim)
+    scores = ppv.scores
+    threshold = np.partition(scores, ppv.nnz - k)[ppv.nnz - k]
+    keep = scores > threshold
+    tied = np.flatnonzero(scores == threshold)
+    keep[tied[:k - np.count_nonzero(keep)]] = True
+    return ScoreVector(ppv.ids[keep], scores[keep], ppv.dim)

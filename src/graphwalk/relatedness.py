@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .graph import TypedGraph
+from .parallel import map_chunks
 from .ppr import (PprParams, ScoreVector, _engine_for, build_teleport, run_ppr,
                   truncate_ppv)
 
@@ -92,13 +93,15 @@ def combine_scores(r1: float, r2: float) -> float:
 
 
 def score_pairs(pairs, graph: TypedGraph, store, params: PprParams | None,
-                system: str = "ppr", on_unknown: str = "skip"):
+                system: str = "ppr", on_unknown: str = "skip",
+                workers: int | None = None):
     """Score (term1, term2, gold) rows; returns (term1, term2, gold, score).
 
-    The walk system walks each distinct term once (see ``_term_vectors``) and
-    scores every pair as ``relate`` would. Unknown terms either drop the pair
-    (``skip``, score None) or score it 0 (``zero``), selected by the
-    evaluation caller.
+    The walk system walks each distinct term once, on ``workers`` threads
+    (None: every core; see ``_term_vectors``), and scores every pair as
+    ``relate`` would, whatever the worker count. Unknown terms either drop
+    the pair (``skip``, score None) or score it 0 (``zero``), selected by
+    the evaluation caller.
     """
     if system not in ("ppr", "ngd"):
         raise ValueError(f"unknown relatedness system {system!r}")
@@ -107,7 +110,7 @@ def score_pairs(pairs, graph: TypedGraph, store, params: PprParams | None,
     pairs = list(pairs)
     if system == "ppr":
         vectors = _term_vectors([t for t1, t2, _ in pairs for t in (t1, t2)],
-                                graph, store, params or PprParams())
+                                graph, store, params or PprParams(), workers)
     out = []
     for term1, term2, gold in pairs:
         if system == "ppr":
@@ -124,18 +127,23 @@ def score_pairs(pairs, graph: TypedGraph, store, params: PprParams | None,
     return out
 
 
-def _term_vectors(terms, graph: TypedGraph, store, params: PprParams) -> dict:
+def _term_vectors(terms, graph: TypedGraph, store, params: PprParams,
+                  workers: int | None) -> dict:
     """``term_ppv`` of each distinct term (None when unknown), walked in blocks.
 
-    Each vector is truncated as soon as it is walked, so at most one block
-    of untruncated vectors is held at a time.
+    The known terms are cut into chunks by ``parallel.map_chunks``; a worker
+    walks its chunk as one block and truncates each vector as it is yielded,
+    so each worker holds at most one block of untruncated vectors.
     """
     entries = {term: store.lookup(term) for term in dict.fromkeys(terms)}
     known = [term for term, entry in entries.items() if entry is not None]
-    ppvs = _engine_for(graph).run_many(
-        (build_teleport([entries[term]], graph.n_nodes, params.prior_init) for term in known),
-        params)
+    engine = _engine_for(graph)
+
+    def walk(chunk: list[str]) -> list[ScoreVector]:
+        teleports = (build_teleport([entries[term]], graph.n_nodes, params.prior_init)
+                     for term in chunk)
+        return [truncate_ppv(ppv, params.k) for ppv in engine.run_many(teleports, params)]
+
     vectors = dict.fromkeys(entries)
-    for term, ppv in zip(known, ppvs):
-        vectors[term] = truncate_ppv(ppv, params.k)
+    vectors.update(zip(known, map_chunks(walk, known, workers)))
     return vectors

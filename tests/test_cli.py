@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from graphwalk import relatedness as rel_mod
 from graphwalk.cli import main
 from graphwalk.dictionary import Candidate, DictEntry, Dictionary, SqliteDictionary
 
@@ -226,6 +227,37 @@ def test_rel_sweep_cell_reports_record_on_unknown(workspace, tmp_path):
     assert reports["skip"]["config"]["on_unknown"] == "skip"
     assert reports["zero"]["config"]["on_unknown"] == "zero"
     assert (reports["skip"]["n"], reports["zero"]["n"]) == (4, 5)
+
+
+def test_rel_and_rel_sweep_outputs_do_not_depend_on_workers(workspace, tmp_path,
+                                                            monkeypatch):
+    outputs = []
+    for workers in (["--workers", "1"], ["--workers", "2"], []):
+        out, rep = tmp_path / f"rel{len(outputs)}.tsv", tmp_path / f"rel{len(outputs)}.json"
+        assert main(["rel", "--data", str(workspace["data"]),
+                     "--pairs", str(workspace["pairs"]),
+                     "--out", str(out), "--report", str(rep), *workers]) == 0
+        outputs.append((out.read_bytes(), rep.read_bytes()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    # a sweep's cells on several threads walk on one thread each
+    walk_workers = []
+    score_pairs = rel_mod.score_pairs
+
+    def spy(*args):
+        walk_workers.append(args[-1])
+        return score_pairs(*args)
+
+    monkeypatch.setattr(rel_mod, "score_pairs", spy)
+    sweeps = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"sweep{workers}"
+        assert main(["sweep", "--data", str(workspace["data"]), "--task", "rel",
+                     "--dataset", str(workspace["pairs"]), "--out", str(out),
+                     "--alphas", "0.5,0.85", "--workers", workers]) == 0
+        sweeps.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sweeps[0] == sweeps[1]
+    assert walk_workers == [None, None, 1, 1]
 
 
 def test_iters_alias_runs_a_single_iteration(workspace, tmp_path):
@@ -471,9 +503,17 @@ def test_scoring_errors_are_data_errors(workspace, tmp_path, capsys, scores,
     ("sweep", ["--seed", "1"], None, 1, "unrecognized arguments: --seed 1"),
     ("sweep", ["--on-unknown", "zero"], None, 1, "--on-unknown applies to --task rel only"),
     ("sweep", ["--priors", "P,maybe"], None, 1, "bad sweep value in 'P,maybe' for prior"),
+    ("rel", [], "alpha=1.5\n", 2, "run.cfg:1: alpha must be in (0,1), got 1.5"),
+    ("ned", [], "# walk\niterations=-1\n", 2, "run.cfg:2: iterations must be >= 0"),
+    ("sweep", [], "k=5\nk=0\n", 2, "run.cfg:2: k must be >= 1 or None"),
+    ("rel", ["--workers", "0"], None, 1, "argument --workers: must be an integer >= 1, got '0'"),
+    ("ned", ["--workers", "-3"], None, 1, "argument --workers: must be an integer >= 1, got '-3'"),
+    ("sweep", ["--workers", "x"], None, 1, "argument --workers: must be an integer >= 1, got 'x'"),
 ], ids=["alpha_flag", "negative_iterations", "sweep_alphas", "config_alpha",
         "config_prior", "sweep_system_for_task", "config_typo_key", "config_seed_key",
-        "rel_seed", "ned_seed", "sweep_seed", "ned_sweep_on_unknown", "sweep_priors"])
+        "rel_seed", "ned_seed", "sweep_seed", "ned_sweep_on_unknown", "sweep_priors",
+        "config_alpha_range", "config_iterations_range", "config_k_range",
+        "rel_zero_workers", "ned_negative_workers", "sweep_text_workers"])
 def test_bad_walk_parameters_stop_before_any_output(workspace, tmp_path, capsys, command,
                                                     flags, config, code, message):
     inputs = {"rel": ["--pairs", str(workspace["pairs"])],

@@ -14,8 +14,8 @@ from graphwalk.dictionary import Candidate, Dictionary
 from graphwalk.graph import NodeTable
 from graphwalk.ned import (CachedHttpResolver, NedQuery, disambiguate,
                            extract_context, generate_candidates, load_queries,
-                           map_in_order, mfs_baseline, ngd_disambiguate, run_batch,
-                           write_predictions)
+                           mfs_baseline, ngd_disambiguate, run_batch, write_predictions)
+from graphwalk.parallel import map_in_order
 from graphwalk.ppr import PprParams
 
 
@@ -313,6 +313,13 @@ def test_run_batch_rejects_unknown_system(lions):
     graph, store, nodes, query = lions
     with pytest.raises(ValueError):
         run_batch([query], graph, store, system="oracle")
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_batch_rejects_fewer_than_one_worker(lions, workers):
+    graph, store, nodes, query = lions
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_batch([query], graph, store, workers=workers)
 
 
 # --- IO ----------------------------------------------------------------------

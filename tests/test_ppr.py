@@ -230,6 +230,34 @@ def test_truncate_breaks_ties_by_lower_id():
     assert dict(out2.items()) == {0: 0.3, 2: 0.4}
 
 
+def lexsort_truncate(ppv: ScoreVector, k: int | None) -> ScoreVector:
+    """Top-k by a full sort: descending score, ties to the lower id."""
+    if k is None or k >= ppv.nnz:
+        return ppv
+    keep = np.sort(np.lexsort((ppv.ids, -ppv.scores))[:k])
+    return ScoreVector(ppv.ids[keep], ppv.scores[keep], ppv.dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.5, 0.25, 0.25 + 2.0 ** -50, 1e-300, 3.0, 7e-3]),
+                min_size=1, max_size=40),
+       st.randoms(use_true_random=False),
+       st.sampled_from(["1", "nnz-1", "nnz", "nnz+1", "none", "any"]),
+       st.integers(1, 40))
+def test_truncate_equals_lexsort_oracle(scores, rnd, which, any_k):
+    """Partition selection keeps the same ids and scores, bit for bit, as a
+    full sort, on vectors made mostly of tied scores."""
+    nnz = len(scores)
+    ids = np.array(sorted(rnd.sample(range(3 * nnz), nnz)), dtype=np.int64)
+    sv = ScoreVector(ids, np.array(scores, dtype=np.float64), 3 * nnz)
+    k = {"1": 1, "nnz-1": max(1, nnz - 1), "nnz": nnz, "nnz+1": nnz + 1, "none": None,
+         "any": any_k}[which]
+    got, want = truncate_ppv(sv, k), lexsort_truncate(sv, k)
+    assert got.ids.tobytes() == want.ids.tobytes()
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert got.dim == want.dim
+
+
 def test_score_vector_helpers():
     sv = ScoreVector.from_pairs({3: 0.25, 1: 0.75}, 6)
     assert sv.nnz == 2

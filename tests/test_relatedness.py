@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,67 @@ def test_score_pairs_walks_each_distinct_term_once(monkeypatch):
     monkeypatch.undo()
     assert got == [(t1, t2, None, _relate_or_unknown(t1, t2, g, d, PprParams(k=20), "skip"))
                    for t1, t2, _ in rows]
+
+
+@pytest.fixture(scope="module")
+def term_world():
+    """A random graph with dangling nodes and 40 terms of three candidates each."""
+    rng = np.random.default_rng(5)
+    n = 60
+    g = graph_from_arcs(n, random_arc_set(rng, n, force_dangling=True))
+    d = Dictionary.from_counts({f"t{i}": {int(a): 1 + int(rng.integers(9))
+                                          for a in rng.choice(n, 3, replace=False)}
+                                for i in range(40)})
+    return g, d
+
+
+def chunk_boundary_pairs(count: int) -> list[tuple]:
+    """Pairs naming ``count`` distinct known terms, mixed with unknown ones,
+    so a vector handed to the wrong term would show."""
+    known = [f"t{i}" for i in range(count)]
+    pairs = [("zz0", "zz1", 1.0)]
+    for i, term in enumerate(known):
+        pairs.append((term, known[(7 * i + 3) % count], float(i)))
+        if i % 4 == 1:
+            pairs.append((f"zz{i}", term, None))
+    return pairs
+
+
+def row_bits(rows) -> list[tuple]:
+    return [(t1, t2, gold, None if s is None else s.hex()) for t1, t2, gold, s in rows]
+
+
+@pytest.mark.parametrize("on_unknown", ["skip", "zero"])
+@pytest.mark.parametrize("params", [None, PprParams(k=None), PprParams(iterations=0)])
+def test_score_pairs_is_bitwise_equal_at_any_worker_count(term_world, params, on_unknown):
+    g, d = term_world
+    for count in (0, 1, 15, 16, 17, 33):
+        pairs = chunk_boundary_pairs(count)
+        want = row_bits((t1, t2, gold, _relate_or_unknown(t1, t2, g, d, params, on_unknown))
+                        for t1, t2, gold in pairs)
+        for workers in (1, 2, 3, 8):
+            got = score_pairs(pairs, g, d, params, "ppr", on_unknown, workers)
+            assert row_bits(got) == want, (count, workers)
+
+
+def test_score_pairs_threads_under_frequent_switches(term_world):
+    g, d = term_world
+    pairs = chunk_boundary_pairs(33)
+    serial = score_pairs(pairs, g, d, PprParams(k=20), "ppr", "zero", workers=1)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = score_pairs(pairs, g, d, PprParams(k=20), "ppr", "zero", workers=8)
+    finally:
+        sys.setswitchinterval(switch)
+    assert row_bits(threaded) == row_bits(serial)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_score_pairs_rejects_fewer_than_one_worker(term_world, workers):
+    g, d = term_world
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        score_pairs(chunk_boundary_pairs(3), g, d, None, "ppr", "skip", workers)
 
 
 # --- shared-inlink baseline --------------------------------------------------
