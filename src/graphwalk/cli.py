@@ -158,6 +158,8 @@ def _load_runtime(data_dir: str, spec: str, sqlite_dict: bool = False):
 
 
 def cmd_ingest(args) -> int:
+    if args.title_pseudo_count < 0:
+        raise UsageError("--title-pseudo-count must be >= 0")
     report = ingest_mod.run_ingest(args.pages, args.links, args.anchors,
                                    args.out, args.title_pseudo_count)
     print(f"nodes: {report['nodes']}")
@@ -274,7 +276,9 @@ def _sweep_cells(args, opts):
                         [_coerce(key, x) for x in raw.split(",") if x != ""])
         except ValueError:
             raise UsageError(f"bad sweep value in {raw!r} for {key}") from None
-    cells = [(spec, _walk_params(*walk)) for spec, *walk in itertools.product(*axes)]
+    # a repeated axis value gives one cell, not two runs under one name
+    cells = list(dict.fromkeys((spec, _walk_params(*walk))
+                               for spec, *walk in itertools.product(*axes)))
     if not cells:
         raise UsageError("sweep grid is empty")
     return cells
@@ -299,7 +303,8 @@ def cmd_sweep(args) -> int:
 
     def cell_name(cell):
         spec, p = cell
-        return (f"{spec}_a{p.alpha:g}_i{p.iterations}_k{'none' if p.k is None else p.k}"
+        # the shortest repr that round-trips, so distinct alphas get distinct names
+        return (f"{spec}_a{p.alpha!r}_i{p.iterations}_k{'none' if p.k is None else p.k}"
                 f"_{'P' if p.prior_init else 'noP'}")
 
     def run_cell(cell):

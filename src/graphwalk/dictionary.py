@@ -6,7 +6,9 @@ import re
 import sqlite3
 import struct
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +19,7 @@ from .tsv import read_tsv
 _MAGIC = b"GWDICT1"
 # one candidate as stored by both backends: article id, count, prior
 _TRIPLE = struct.Struct("<IQd")
+_COUNT = struct.Struct("<I")  # a sqlite row's candidate count, before its triples
 _HEADER = struct.Struct("<QQQQ")  # entries, max token length, string bytes, triples
 _OFFSET = struct.Struct("<QII")   # per entry: string offset, string length, triples
 _OFFSET_DTYPE = np.dtype([("offset", "<u8"), ("length", "<u4"), ("triples", "<u4")])
@@ -24,7 +27,7 @@ _TRIPLE_DTYPE = np.dtype([("article", "<u4"), ("count", "<u8"), ("prior", "<f8")
 _WS_RE = re.compile(r"\s+")
 # integer totals below this sum and divide exactly in float64
 _EXACT_TOTAL = 2.0 ** 53
-# guards the one-time build of a loaded dictionary's ``entries``
+# guards the one-time decoding of a dictionary's ``entries``
 _ENTRIES_LOCK = threading.Lock()
 
 
@@ -66,54 +69,63 @@ def normalize_mention(raw: str) -> str:
 class Dictionary:
     """Mention -> candidate-article store with prior probabilities.
 
-    Built from entries, or loaded from a GWDICT1 snapshot whose bytes it
-    keeps: a lookup then unpacks only the candidates of the mention it hits,
-    and ``entries`` is built in full the first time someone reads it.
+    Held as the bytes of a GWDICT1 snapshot, whether built from entries or
+    loaded from a file, plus an index of its mentions: a lookup unpacks only
+    the candidates of the mention it hits, and ``entries`` is decoded in full
+    the first time someone reads it.
     """
 
-    def __init__(self, entries: dict[str, DictEntry]):
-        self._entries = entries
-        # a loaded snapshot: mention -> row, and the triples of row r at
+    def __init__(self, entries: Mapping[str, DictEntry]):
+        """Pack ``entries`` into snapshot bytes: string table, entry offsets,
+        triples, each in sorted mention order."""
+        mentions = sorted(entries)
+        strtab, offsets, triples, first = bytearray(), bytearray(), bytearray(), [0]
+        for m in mentions:
+            mb = m.encode("utf-8")
+            cands = entries[m].candidates
+            offsets += _OFFSET.pack(len(strtab), len(mb), len(cands))
+            strtab += mb
+            for c in cands:
+                triples += _TRIPLE.pack(c.article, c.count, c.prior)
+            first.append(first[-1] + len(cands))
+        max_len = max((len(m.split()) for m in mentions), default=0)
+        header = _HEADER.pack(len(mentions), max_len, len(strtab), first[-1])
+        self._hold(b"".join((_MAGIC, header, offsets, strtab, triples)),
+                   dict(zip(mentions, range(len(mentions)))), first, max_len)
+
+    def _hold(self, data: bytes, rows: dict[str, int], first: list[int], max_len: int):
+        # the snapshot, mention -> row, and the triples of row r at
         # _triples[_first[r]:_first[r + 1]] (in triples, not bytes)
-        self._rows = None
-        self._first = None
-        self._triples = None
-        self.max_token_len = max((len(m.split()) for m in entries), default=0)
+        self._data, self._rows, self._first, self.max_token_len = data, rows, first, max_len
+        self._triples = memoryview(data)[len(data) - first[-1] * _TRIPLE.size:]
+        self._entries = None
 
     def __len__(self) -> int:
-        entries = self._entries
-        return len(self._rows) if entries is None else len(entries)
+        return len(self._rows)
 
     @property
-    def entries(self) -> dict[str, DictEntry]:
-        """Every entry by mention. A loaded dictionary builds this once, on
-        first read, and from then on serves ``get`` and ``save`` from it."""
+    def entries(self) -> Mapping[str, DictEntry]:
+        """Every entry by mention, read-only, decoded once on first read."""
         entries = self._entries
         if entries is None:
             with _ENTRIES_LOCK:
                 entries = self._entries
                 if entries is None:
-                    entries = self._entries = self._build_entries()
+                    entries = self._entries = MappingProxyType(self._build_entries())
         return entries
 
     def _build_entries(self) -> dict[str, DictEntry]:
-        cands = list(map(Candidate._make, _TRIPLE.iter_unpack(self._triples)))
-        first = self._first
-        return {m: DictEntry(m, tuple(cands[first[r]:first[r + 1]]))
-                for m, r in self._rows.items()}
+        return {m: DictEntry(m, _candidates(self._block(r))) for m, r in self._rows.items()}
+
+    def _block(self, row: int) -> memoryview:
+        first, size = self._first, _TRIPLE.size
+        return self._triples[first[row] * size:first[row + 1] * size]
 
     def _find(self, mention: str):
         # the body of both get and lookup, so that a wrapper counting calls
         # to get (as perfbench's tracer does) counts exact lookups only
-        entries = self._entries
-        if entries is not None:
-            return entries.get(mention)
         row = self._rows.get(mention)
-        if row is None:
-            return None
-        first, size = self._first, _TRIPLE.size
-        block = self._triples[first[row] * size:first[row + 1] * size]
-        return DictEntry(mention, tuple(map(Candidate._make, _TRIPLE.iter_unpack(block))))
+        return None if row is None else DictEntry(mention, _candidates(self._block(row)))
 
     def get(self, mention: str):
         """Exact lookup by already-normalized mention."""
@@ -137,8 +149,7 @@ class Dictionary:
                 if count > 0:
                     slot[article] = slot.get(article, 0) + count
         entries: dict[str, DictEntry] = {}
-        for m in sorted(merged):
-            per_article = merged[m]
+        for m, per_article in merged.items():
             total = sum(per_article.values())
             if total <= 0:
                 continue
@@ -149,7 +160,9 @@ class Dictionary:
 
     @classmethod
     def build(cls, counts_path: str, n_nodes: int | None = None) -> "Dictionary":
-        """Load a ``dict_counts.tsv`` file (mention, article_id, count)."""
+        """Load a ``dict_counts.tsv`` file (mention, article_id, count).
+
+        A negative count is a DataError; a zero count adds nothing."""
         counts: dict[str, dict[int, int]] = {}
         for lineno, cols in read_tsv(counts_path, 3, 3):
             try:
@@ -158,32 +171,16 @@ class Dictionary:
                 raise DataError(f"{counts_path}:{lineno}: bad integer") from None
             if n_nodes is not None and not 0 <= article < n_nodes:
                 raise DataError(f"{counts_path}:{lineno}: unknown article id {article}")
+            if count < 0:
+                raise DataError(f"{counts_path}:{lineno}: negative count {count}")
             slot = counts.setdefault(cols[0], {})
             slot[article] = slot.get(article, 0) + count
         return cls.from_counts(counts)
 
     def save(self, path: str) -> None:
-        """Write the binary snapshot: string table, entry offsets, triples."""
-        mentions = sorted(self.entries)
-        # from the mentions written, which may have changed since load
-        max_len = max((len(m.split()) for m in mentions), default=0)
-        strtab = bytearray()
-        offsets = bytearray()
-        triples = bytearray()
-        n_triples = 0
-        for m in mentions:
-            mb = m.encode("utf-8")
-            offsets += _OFFSET.pack(len(strtab), len(mb), len(self.entries[m].candidates))
-            strtab += mb
-            for c in self.entries[m].candidates:
-                triples += _TRIPLE.pack(c.article, c.count, c.prior)
-                n_triples += 1
+        """Write the snapshot bytes."""
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(_HEADER.pack(len(mentions), max_len, len(strtab), n_triples))
-            fh.write(bytes(offsets))
-            fh.write(bytes(strtab))
-            fh.write(bytes(triples))
+            fh.write(self._data)
 
     @classmethod
     def load(cls, path: str, n_nodes: int | None = None) -> "Dictionary":
@@ -227,10 +224,8 @@ class Dictionary:
         _check_candidates(path, triples, spans["triples"], first)
         if n_nodes is not None and n_triples:
             _check_articles(path, int(triples["article"].max()), n_nodes)
-        d = cls({})
-        d._entries, d._rows = None, rows
-        d._first, d._triples = first.tolist(), memoryview(data)[triples_at:]
-        d.max_token_len = max_len
+        d = cls.__new__(cls)
+        d._hold(data, rows, first.tolist(), max_len)
         return d
 
 
@@ -264,8 +259,7 @@ class SqliteDictionary:
             "SELECT candidates FROM entries WHERE mention=?", (mention,)).fetchone()
         if row is None:
             return None
-        # a u32 candidate count, then the triples
-        cands = tuple(map(Candidate._make, _TRIPLE.iter_unpack(row[0][4:])))
+        cands = _candidates(row[0][_COUNT.size:])
         if self._n_nodes is not None and cands:
             _check_articles(self._path, max(c.article for c in cands), self._n_nodes)
         return DictEntry(mention, cands)
@@ -276,6 +270,9 @@ class SqliteDictionary:
 
     @classmethod
     def create(cls, dictionary: Dictionary, path: str) -> "SqliteDictionary":
+        """Write one row per mention, in sorted order: the u32 candidate
+        count, then the mention's triples as the snapshot holds them."""
+        first = dictionary._first
         conn = sqlite3.connect(path)
         try:
             conn.execute("DROP TABLE IF EXISTS entries")
@@ -284,15 +281,18 @@ class SqliteDictionary:
             conn.execute("CREATE TABLE entries (mention TEXT PRIMARY KEY, candidates BLOB)")
             conn.execute("INSERT INTO meta VALUES ('max_token_len', ?)",
                          (str(dictionary.max_token_len),))
-            for m in sorted(dictionary.entries):
-                cands = dictionary.entries[m].candidates
-                blob = struct.pack("<I", len(cands)) + b"".join(
-                    _TRIPLE.pack(c.article, c.count, c.prior) for c in cands)
+            for m, r in sorted(dictionary._rows.items()):
+                blob = _COUNT.pack(first[r + 1] - first[r]) + dictionary._block(r)
                 conn.execute("INSERT INTO entries VALUES (?, ?)", (m, blob))
             conn.commit()
         finally:
             conn.close()
         return cls(path)
+
+
+def _candidates(block) -> tuple[Candidate, ...]:
+    """Decode a run of packed triples."""
+    return tuple(map(Candidate._make, _TRIPLE.iter_unpack(block)))
 
 
 def _check_candidates(path: str, triples: np.ndarray, per_entry: np.ndarray,

@@ -154,10 +154,7 @@ def load_relatedness_pairs(path: str):
     for lineno, cols in read_tsv(path, 2, 3):
         gold = None
         if len(cols) == 3 and cols[2] != "":
-            try:
-                gold = float(cols[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad gold score {cols[2]!r}") from None
+            gold = _finite(cols[2], f"{path}:{lineno}: bad gold score")
         pairs.append((cols[0], cols[1], gold))
     return pairs
 
@@ -173,11 +170,19 @@ def load_rel_predictions(path: str) -> dict[tuple[str, str], float]:
     for lineno, cols in read_tsv(path, 4, None):
         if cols[3] == "NA":
             continue
-        try:
-            out[(cols[0], cols[1])] = float(cols[3])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad score {cols[3]!r}") from None
+        out[(cols[0], cols[1])] = _finite(cols[3], f"{path}:{lineno}: bad score")
     return out
+
+
+def _finite(raw: str, where: str) -> float:
+    """``raw`` as a finite float; anything else is a DataError at ``where``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DataError(f"{where} {raw!r}")
+    return value
 
 
 def load_ned_predictions(path: str) -> dict[str, str]:

@@ -256,8 +256,8 @@ def load_queries(path: str) -> list[NedQuery]:
     Context files are plain UTF-8 text, resolved relative to the TSV's
     directory and tokenized on whitespace; each distinct file is read once,
     and its queries share one token tuple. Without a character offset the
-    first occurrence of the mention locates the target. Query ids must be
-    unique within the file.
+    first occurrence of the mention locates the target; an offset must lie
+    within the context text. Query ids must be unique within the file.
     """
     base = os.path.dirname(os.path.abspath(path))
     queries: list[NedQuery] = []
@@ -290,6 +290,9 @@ def load_queries(path: str) -> list[NedQuery]:
                                 f"at byte {exc.start}") from None
             documents[key] = text, tuple(text.split())
         text, tokens = documents[key]
+        if offset is not None and not 0 <= offset < len(text):
+            raise DataError(f"{path}:{lineno}: char offset {offset} is outside the "
+                            f"{len(text)} characters of {context_file}")
         target = _target_index(text, tokens, mention, offset) if tokens else 0
         queries.append(NedQuery(query_id, mention, tokens, target, gold))
     return queries

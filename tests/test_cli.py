@@ -77,8 +77,8 @@ def outside_ids_data(workspace, tmp_path_factory):
     outside the graph, in both the snapshot and the sqlite backend."""
     data = tmp_path_factory.mktemp("outside") / "data"
     shutil.copytree(workspace["data"], data)
-    d = Dictionary.load(str(data / "dict.gwdict"))
-    d.entries["lions"] = DictEntry("lions", (Candidate(999, 1, 1.0),))
+    loaded = Dictionary.load(str(data / "dict.gwdict"))
+    d = Dictionary({**loaded.entries, "lions": DictEntry("lions", (Candidate(999, 1, 1.0),))})
     d.save(str(data / "dict.gwdict"))
     (data / "dict.sqlite").unlink()
     SqliteDictionary.create(d, str(data / "dict.sqlite"))
@@ -390,6 +390,30 @@ def test_sweep_grid_resume_and_summary(workspace, tmp_path):
         assert after[name] == blob
 
 
+def test_sweep_cells_with_alphas_alike_to_six_digits_each_run(workspace, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    alphas = (0.1234567, 0.9234571, 0.9234569)
+    assert main(["sweep", "--data", str(workspace["data"]), "--task", "ned",
+                 "--dataset", str(workspace["queries"]), "--out", str(out),
+                 "--alphas", ",".join(map(repr, alphas)), "--iters", "1"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    names = [f"Hr_a{a!r}_i1_knone_P" for a in alphas]
+    assert printed[:3] == [f"{name}: done" for name in names]
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [[n, "Hr", repr(a)] for n, a in zip(names, alphas)]
+    for name, alpha in zip(names, alphas):
+        assert json.loads((out / f"{name}.json").read_text())["config"]["alpha"] == alpha
+
+
+def test_sweep_runs_a_repeated_axis_value_once(workspace, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--data", str(workspace["data"]), "--task", "ned",
+                 "--dataset", str(workspace["queries"]), "--out", str(out),
+                 "--iters", "15,15", "--alphas", "0.85,0.850"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Hr_a0.85_i15_knone_P: done"
+    assert len((out / "summary.csv").read_text().splitlines()) == 2  # header + 1 cell
+
+
 def test_sweep_empty_grid_is_usage_error(workspace, tmp_path, capsys):
     rc = main(["sweep", "--data", str(workspace["data"]), "--task", "ned",
                "--dataset", str(workspace["queries"]),
@@ -447,6 +471,30 @@ def test_invalid_utf8_in_a_config_file_is_a_data_error(workspace, tmp_path, caps
     assert rc == 2
     assert f"{cfg}:3: invalid UTF-8" in capsys.readouterr().err
     assert not (tmp_path / "p.tsv").exists()
+
+
+def test_negative_title_pseudo_count_is_a_usage_error(tmp_path, capsys):
+    files = write_lions_corpus(tmp_path)
+    argv = ["ingest", "--pages", str(files["pages"]), "--links", str(files["links"]),
+            "--anchors", str(files["anchors"])]
+    assert main(argv + ["--out", str(tmp_path / "neg"), "--title-pseudo-count", "-1"]) == 1
+    assert "usage error: --title-pseudo-count must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
+    # zero writes zero-count rows, which build accepts and drops
+    assert main(argv + ["--out", str(tmp_path / "zero"), "--title-pseudo-count", "0"]) == 0
+    assert "\t0\n" in (tmp_path / "zero" / "dict_counts.tsv").read_text()
+    assert main(["build", "--ingest-dir", str(tmp_path / "zero"),
+                 "--out", str(tmp_path / "data")]) == 0
+
+
+def test_a_gold_score_that_is_not_finite_is_a_data_error(workspace, tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    write_tsv(pairs, "term1\tterm2\tgold", [("alan kourie", "lions", "3.0"),
+                                              ("cape town", "lions", "nan")])
+    rc = main(["rel", "--data", str(workspace["data"]), "--pairs", str(pairs),
+               "--out", str(tmp_path / "p.tsv")])
+    assert rc == 2
+    assert f"{pairs}:3: bad gold score 'nan'" in capsys.readouterr().err
 
 
 def test_data_error_for_missing_file(tmp_path, capsys):

@@ -122,8 +122,8 @@ def gotham_dict():
 
 
 def test_lookup_normalizes(gotham_dict):
-    assert gotham_dict.lookup("Gotham") is gotham_dict.get("gotham")
-    assert gotham_dict.lookup("Gotham (magazine)") is gotham_dict.get("gotham")
+    assert gotham_dict.lookup("Gotham") == gotham_dict.get("gotham")
+    assert gotham_dict.lookup("Gotham (magazine)") == gotham_dict.get("gotham")
 
 
 def test_lookup_absent(gotham_dict):
@@ -259,6 +259,18 @@ def test_build_rejects_bad_rows(tmp_path):
         Dictionary.build(str(path), n_nodes=10)
 
 
+def test_build_rejects_negative_counts_and_drops_zero_counts(tmp_path):
+    path = tmp_path / "dict_counts.tsv"
+    path.write_text("mention\tarticle_id\tcount\nfoo\t1\t5\nfoo\t1\t-3\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: negative count -3")):
+        Dictionary.build(str(path))
+    path.write_text("mention\tarticle_id\tcount\nfoo\t1\t5\nfoo\t2\t0\nbar\t3\t0\n",
+                    encoding="utf-8")
+    d = Dictionary.build(str(path))
+    assert d.get("foo").candidates == (Candidate(1, 5, 1.0),)
+    assert d.get("bar") is None
+
+
 def test_load_rejects_entry_strings_that_do_not_tile_the_string_table(tmp_path):
     d = Dictionary.from_counts({"alpha": {0: 1}, "beta": {1: 1}})
     path = tmp_path / "dict.gwdict"
@@ -343,27 +355,33 @@ def test_loaded_dictionary_serves_what_from_counts_built(tmp_path, counts):
     assert loaded.entries == built.entries
 
 
-def test_entries_of_a_loaded_dictionary_become_its_store(tmp_path, gotham_dict):
+def test_entries_are_read_only_and_a_changed_dictionary_is_built_anew(tmp_path, gotham_dict):
     path = tmp_path / "dict.gwdict"
     gotham_dict.save(str(path))
     d = Dictionary.load(str(path))
-    d.entries["zeta"] = DictEntry("zeta", (Candidate(3, 1, 1.0),))
-    assert d.get("zeta") is d.entries["zeta"]
-    assert d.lookup("Zeta") is d.get("zeta")
-    assert len(d) == len(gotham_dict) + 1
-    d.save(str(path))
-    assert Dictionary.load(str(path)).get("zeta") == d.get("zeta")
+    zeta = DictEntry("zeta", (Candidate(3, 1, 1.0),))
+    with pytest.raises(TypeError):
+        d.entries["zeta"] = zeta
+    assert d.get("zeta") is None
+    grown = Dictionary({**d.entries, "zeta": zeta})
+    assert grown.get("zeta") == zeta
+    assert grown.lookup("Zeta") == zeta
+    assert len(grown) == len(gotham_dict) + 1
+    grown.save(str(path))
+    reloaded = Dictionary.load(str(path))
+    assert reloaded.get("zeta") == zeta
+    assert reloaded.entries == grown.entries
 
 
 def test_saving_a_longer_added_mention_reloads(tmp_path, gotham_dict):
     path = tmp_path / "dict.gwdict"
     gotham_dict.save(str(path))
-    d = Dictionary.load(str(path))
-    longest = " ".join(["zoo"] * (d.max_token_len + 2))
-    d.entries[longest] = DictEntry(longest, (Candidate(3, 1, 1.0),))
+    loaded = Dictionary.load(str(path))
+    longest = " ".join(["zoo"] * (loaded.max_token_len + 2))
+    d = Dictionary({**loaded.entries, longest: DictEntry(longest, (Candidate(3, 1, 1.0),))})
     d.save(str(path))
     reloaded = Dictionary.load(str(path))
-    assert reloaded.max_token_len == d.max_token_len + 2
+    assert reloaded.max_token_len == loaded.max_token_len + 2
     assert reloaded.get(longest) == d.entries[longest]
     assert longest_match_scan(reloaded, longest.split()) == [
         ((0, len(longest.split())), reloaded.get(longest))]
@@ -375,6 +393,7 @@ def test_entries_are_built_once_under_concurrent_readers(tmp_path, gotham_dict, 
     d = Dictionary.load(str(path))
     builds = []
     build = Dictionary._build_entries
+    mentions = list(gotham_dict.entries) + ["absent"]
 
     def slow_build(self):
         builds.append(threading.get_ident())
@@ -382,7 +401,6 @@ def test_entries_are_built_once_under_concurrent_readers(tmp_path, gotham_dict, 
         return build(self)
 
     monkeypatch.setattr(Dictionary, "_build_entries", slow_build)
-    mentions = list(gotham_dict.entries) + ["absent"]
     barrier = threading.Barrier(8)
 
     def reader(i):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from graphwalk.errors import DataError
 from graphwalk.evaluation import (AccuracyResult, EvalReport, accuracy,
                                   compare_prediction_files, fisher_z_test,
-                                  load_redirect_map, load_relatedness_pairs,
-                                  paired_bootstrap, run_eval, spearman)
+                                  load_redirect_map, load_rel_predictions,
+                                  load_relatedness_pairs, paired_bootstrap, run_eval,
+                                  spearman)
 from graphwalk.graph import NodeTable
 from graphwalk.ingest import REDIRECT_DEPTH_CAP
 from graphwalk.ned import NedPrediction, load_queries, run_batch, write_predictions
@@ -207,6 +209,19 @@ def test_load_relatedness_pairs(tmp_path):
     path.write_text("term1\tterm2\tgold\na\tb\tnan?\n", encoding="utf-8")
     with pytest.raises(DataError, match=r":2"):
         load_relatedness_pairs(str(path))
+
+
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_scores_that_are_not_finite_are_data_errors(tmp_path, raw):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(f"term1\tterm2\tgold\na\tb\t3.5\nc\td\t{raw}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: bad gold score {raw!r}")):
+        load_relatedness_pairs(str(path))
+    preds = tmp_path / "preds.tsv"
+    preds.write_text(f"term1\tterm2\tgold\tscore\na\tb\t\tNA\nc\td\t\t{raw}\n",
+                     encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{preds}:3: bad score {raw!r}")):
+        load_rel_predictions(str(preds))
 
 
 def test_load_redirect_map(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
@@ -341,6 +342,23 @@ def test_load_queries_and_offsets(tmp_path):
     assert queries[1].gold_title is None
     assert queries[2].target_index == 7
     assert queries[2].mention == "Cape Town"
+
+
+@pytest.mark.parametrize("offset", [-1, 46, 47, 10_000])
+def test_load_queries_rejects_an_offset_outside_the_context(tmp_path, offset):
+    text = "Alan Kourie spoke about the Lions in Cape Town"
+    assert len(text) == 46
+    (tmp_path / "doc1.txt").write_text(text, encoding="utf-8")
+    tsv = tmp_path / "queries.tsv"
+    tsv.write_text("query_id\tmention\tcontext_file\tchar_offset\n"
+                   "q1\tLions\tdoc1.txt\t45\n"
+                   f"q2\tLions\tdoc1.txt\t{offset}\n", encoding="utf-8")
+    with pytest.raises(gw.DataError, match=re.escape(
+            f"queries.tsv:3: char offset {offset} is outside the 46 characters of doc1.txt")):
+        load_queries(str(tsv))
+    tsv.write_text("query_id\tmention\tcontext_file\tchar_offset\n"
+                   "q1\tTown\tdoc1.txt\t45\n", encoding="utf-8")
+    assert load_queries(str(tsv))[0].target_index == 8
 
 
 def test_load_queries_reads_each_context_file_once(tmp_path, monkeypatch):
