@@ -7,9 +7,9 @@ else from the task's defaults: graph ``DEFAULT_SPEC`` and the walk
 parameters ``PprParams()`` for relatedness, ``ned.DEFAULT_NED_PARAMS`` for
 disambiguation. ``_coerce`` parses the values of config lines, of ``--k`` and
 of the sweep axes; a config value outside ``PprParams``' ranges is a data
-error at its line. ``--workers`` on ``rel`` and ``ned`` is the walk thread
-count (default: every core); on ``sweep`` it is the number of cells run at
-once, and cells run together walk on one thread each.
+error at its line. ``rel``, ``ned`` and each ``sweep`` cell are one
+``evaluation.run_eval`` run; sweep cells run in turn. ``--workers`` is the
+walk thread count everywhere (default: every core).
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from . import evaluation as eval_mod
 from . import graph as graph_mod
 from . import ingest as ingest_mod
 from . import ned as ned_mod
-from . import relatedness as rel_mod
 from .errors import DataError
-from .parallel import map_in_order
 from .ppr import PprParams
 from .tsv import _undecodable_line
 
 DEFAULT_SPEC = "Hr"
 DEFAULT_PARAMS = {"rel": PprParams(), "ned": ned_mod.DEFAULT_NED_PARAMS}
+NO_GOLD = {"rel": "dataset has no gold scores", "ned": "queries have no gold titles"}
 
 
 class UsageError(Exception):
@@ -193,57 +192,35 @@ def cmd_build(args) -> int:
     return 0
 
 
-def cmd_rel(args) -> int:
-    opts = _resolve(args, "rel")
+def cmd_run(args) -> int:
+    """``rel`` and ``ned``: one ``run_eval`` run, then the task's summary line."""
+    opts = _resolve(args, args.task)
     params = _walk_params(opts["alpha"], opts["iterations"], opts["k"], opts["prior"])
     nodes, graph, store = _load_runtime(args.data, opts["spec"], args.sqlite_dict)
-    pairs = eval_mod.load_relatedness_pairs(args.pairs)
-    rows = rel_mod.score_pairs(pairs, graph, store, params, args.system, args.on_unknown,
-                               args.workers)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("term1\tterm2\tgold\tscore\n")
-        for t1, t2, gold, score in rows:
-            g = "" if gold is None else f"{gold:.12g}"
-            s = "NA" if score is None else f"{score:.12g}"
-            fh.write(f"{t1}\t{t2}\t{g}\t{s}\n")
-    if all(g is None for _, _, g in pairs):
+    if args.task == "rel":
+        extra = {"on_unknown": args.on_unknown}
+        inputs = {"baseline_paths": args.baseline}
+    else:
+        extra = {"include_target": not args.context_only_teleport}
+        inputs = {"redirects":
+                  eval_mod.load_redirect_map(args.redirects) if args.redirects else None}
+        if args.resolver_url:
+            cache = args.resolver_cache or os.path.join(args.data, "resolver_cache.json")
+            inputs["resolver"] = ned_mod.CachedHttpResolver(args.resolver_url, cache)
+    config = _run_config(args.task, args.system, opts["spec"], params, args.dataset,
+                         args.data, **extra)
+    report, preds = eval_mod.run_eval(
+        args.task, args.system, [args.dataset], graph=graph, store=store, nodes=nodes,
+        params=params, config=config, workers=args.workers, out=args.out, **extra, **inputs)
+    if report is None:
         if args.report:
-            raise DataError("cannot write a report: dataset has no gold scores")
+            raise DataError(f"cannot write a report: {NO_GOLD[args.task]}")
         return 0
-    config = _run_config("rel", args.system, opts["spec"], params, args.pairs, args.data,
-                         on_unknown=args.on_unknown)
-    report = eval_mod.rel_run_report(args.pairs, rows, args.baseline or [], config)
-    print(f"spearman {report.value:.4f} on {report.n} pairs")
-    if args.report:
-        report.write(args.report)
-    return 0
-
-
-def cmd_ned(args) -> int:
-    opts = _resolve(args, "ned")
-    params = _walk_params(opts["alpha"], opts["iterations"], opts["k"], opts["prior"])
-    nodes, graph, store = _load_runtime(args.data, opts["spec"], args.sqlite_dict)
-    redirects = eval_mod.load_redirect_map(args.redirects) if args.redirects else None
-    queries = ned_mod.load_queries(args.queries)
-    resolver = None
-    if args.resolver_url:
-        cache = args.resolver_cache or os.path.join(args.data, "resolver_cache.json")
-        resolver = ned_mod.CachedHttpResolver(args.resolver_url, cache)
-    preds = ned_mod.run_batch(queries, graph, store, params,
-                              system=args.system, workers=args.workers,
-                              resolver=resolver, nodes=nodes,
-                              include_target=not args.context_only_teleport)
-    ned_mod.write_predictions(preds, nodes, args.out)
-    if all(q.gold_title is None for q in queries):
-        if args.report:
-            raise DataError("cannot write a report: queries have no gold titles")
-        return 0
-    config = _run_config("ned", args.system, opts["spec"], params, args.queries, args.data,
-                         include_target=not args.context_only_teleport)
-    report = eval_mod.ned_run_report(args.queries, queries, preds, nodes, [], config,
-                                     redirects)
-    print(f"accuracy {report.value:.4f} on {report.n} non-NIL instances "
-          f"({report.extras['fallback_count']} fallbacks, {len(preds)} queries)")
+    if args.task == "rel":
+        print(f"spearman {report.value:.4f} on {report.n} pairs")
+    else:
+        print(f"accuracy {report.value:.4f} on {report.n} non-NIL instances "
+              f"({report.extras['fallback_count']} fallbacks, {len(preds)} queries)")
     if args.report:
         report.write(args.report)
     return 0
@@ -284,6 +261,12 @@ def _sweep_cells(args, opts):
     return cells
 
 
+def _cell_name(spec: str, p: PprParams) -> str:
+    # the shortest repr that round-trips, so distinct alphas get distinct names
+    return (f"{spec}_a{p.alpha!r}_i{p.iterations}_k{'none' if p.k is None else p.k}"
+            f"_{'P' if p.prior_init else 'noP'}")
+
+
 def cmd_sweep(args) -> int:
     systems = ("ppr", "ngd", "mfs") if args.task == "ned" else ("ppr", "ngd")
     if args.system not in systems:
@@ -295,53 +278,45 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     rel_extra = {"on_unknown": args.on_unknown or "skip"} if args.task == "rel" else {}
-    # cells on several threads walk on one thread each, so pools never nest
-    walk_workers = None if args.workers == 1 else 1
-    runtimes = {}
-    for spec in sorted({c[0] for c in cells}):
-        runtimes[spec] = _load_runtime(args.data, spec)
-
-    def cell_name(cell):
-        spec, p = cell
-        # the shortest repr that round-trips, so distinct alphas get distinct names
-        return (f"{spec}_a{p.alpha!r}_i{p.iterations}_k{'none' if p.k is None else p.k}"
-                f"_{'P' if p.prior_init else 'noP'}")
-
-    def run_cell(cell):
-        spec, params = cell
-        name = cell_name(cell)
+    runtimes = {spec: _load_runtime(args.data, spec) for spec in sorted({c[0] for c in cells})}
+    for spec, params in cells:
+        name = _cell_name(spec, params)
         marker = os.path.join(args.out, name + ".done")
-        report_path = os.path.join(args.out, name + ".json")
         if os.path.exists(marker):
-            return name, "skipped"
+            print(f"{name}: skipped")
+            continue
         nodes, graph, store = runtimes[spec]
         config = _run_config(args.task, args.system, spec, params, args.dataset, args.data,
                              **rel_extra)
         report, _ = eval_mod.run_eval(
             args.task, args.system, [args.dataset], graph=graph, store=store,
-            nodes=nodes, params=params, config=config, workers=walk_workers, **rel_extra)
-        report.write(report_path)
+            nodes=nodes, params=params, config=config, workers=args.workers, **rel_extra)
+        if report is None:
+            raise DataError(f"cannot write a report: {NO_GOLD[args.task]}")
+        report.write(os.path.join(args.out, name + ".json"))
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write(name + "\n")
-        return name, "done"
+        print(f"{name}: done")
 
-    for name, status in map_in_order(run_cell, cells, args.workers):
-        print(f"{name}: {status}")
-
+    rows = []
+    for spec, p in cells:
+        name = _cell_name(spec, p)
+        path = os.path.join(args.out, name + ".json")
+        with open(path, encoding="utf-8") as fh:
+            try:
+                rep = json.load(fh)
+                scored = [rep["metric"], rep["value"], rep["n"]]
+            except (ValueError, KeyError, TypeError):
+                raise DataError(f"{path}: malformed cell report; delete "
+                                f"{os.path.join(args.out, name)}.done to rerun the cell") from None
+        rows.append([name, spec, p.alpha, p.iterations, "" if p.k is None else p.k,
+                     "P" if p.prior_init else "noP", *scored])
     summary_path = os.path.join(args.out, "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cell", "graph", "alpha", "iterations", "k", "prior",
                          "metric", "value", "n"])
-        for cell in cells:
-            name = cell_name(cell)
-            path = os.path.join(args.out, name + ".json")
-            with open(path, encoding="utf-8") as rfh:
-                rep = json.load(rfh)
-            spec, p = cell
-            writer.writerow([name, spec, p.alpha, p.iterations,
-                             "" if p.k is None else p.k, "P" if p.prior_init else "noP",
-                             rep["metric"], rep["value"], rep["n"]])
+        writer.writerows(rows)
     print(f"{len(cells)} cells -> {summary_path}")
     return 0
 
@@ -386,18 +361,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rel", help="score relatedness pairs")
     _add_common_run_args(p)
-    p.add_argument("--pairs", required=True, help="term1 \\t term2 [\\t gold] file")
+    p.add_argument("--pairs", required=True, dest="dataset",
+                   help="term1 \\t term2 [\\t gold] file")
     p.add_argument("--out", required=True, help="prediction TSV to write")
     p.add_argument("--report", help="report JSON to write")
     p.add_argument("--system", choices=("ppr", "ngd"), default="ppr")
     p.add_argument("--on-unknown", choices=("skip", "zero"), default="skip")
     p.add_argument("--baseline", action="append",
                    help="prediction file to test against (repeatable)")
-    p.set_defaults(func=cmd_rel)
+    p.set_defaults(func=cmd_run, task="rel")
 
     p = sub.add_parser("ned", help="disambiguate entity mentions")
     _add_common_run_args(p)
-    p.add_argument("--queries", required=True)
+    p.add_argument("--queries", required=True, dest="dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--system", choices=("ppr", "ngd", "mfs"), default="ppr")
@@ -406,7 +382,7 @@ def build_parser() -> _Parser:
                    help="exclude the target's own candidates from the teleport")
     p.add_argument("--resolver-url", help="title search endpoint with {query}")
     p.add_argument("--resolver-cache")
-    p.set_defaults(func=cmd_ned)
+    p.set_defaults(func=cmd_run, task="ned")
 
     p = sub.add_parser("eval", help="score emitted prediction files")
     p.add_argument("--task", choices=("rel", "ned"), required=True)
@@ -432,8 +408,8 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", help="comma list of iteration counts")
     p.add_argument("--ks", help="comma list of truncation ranks ('none' allowed)")
     p.add_argument("--priors", help="comma list of P/noP (or true/false)")
-    p.add_argument("--workers", type=_worker_count, default=1,
-                   help="cells run at once (default 1, whose cell walks on every core)")
+    p.add_argument("--workers", type=_worker_count,
+                   help="walk threads (default: every core)")
     p.add_argument("--on-unknown", choices=("skip", "zero"),
                    help="rel only: skip (default) or zero the pairs with an unknown term")
     p.set_defaults(func=cmd_sweep)

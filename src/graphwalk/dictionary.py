@@ -25,6 +25,9 @@ _OFFSET = struct.Struct("<QII")   # per entry: string offset, string length, tri
 _OFFSET_DTYPE = np.dtype([("offset", "<u8"), ("length", "<u4"), ("triples", "<u4")])
 _TRIPLE_DTYPE = np.dtype([("article", "<u4"), ("count", "<u8"), ("prior", "<f8")])
 _WS_RE = re.compile(r"\s+")
+# whitespace other than the single space ``normalize_mention`` leaves; every
+# such character is also one that ``str.isprintable`` rejects
+_OTHER_WS_RE = re.compile(r"[^\S ]")
 # integer totals below this sum and divide exactly in float64
 _EXACT_TOTAL = 2.0 ** 53
 # guards the one-time decoding of a dictionary's ``entries``
@@ -88,6 +91,9 @@ class Dictionary:
             for c in cands:
                 triples += _TRIPLE.pack(c.article, c.count, c.prior)
             first.append(first[-1] + len(cands))
+        bad = _unnormalized(strtab, np.frombuffer(offsets, _OFFSET_DTYPE), mentions)
+        if bad is not None:
+            raise ValueError(f"mention {bad!r} is not in normalized form")
         max_len = max((len(m.split()) for m in mentions), default=0)
         header = _HEADER.pack(len(mentions), max_len, len(strtab), first[-1])
         self._hold(b"".join((_MAGIC, header, offsets, strtab, triples)),
@@ -217,6 +223,9 @@ class Dictionary:
         rows = dict(zip(mentions, range(n_entries)))
         if len(rows) != n_entries:
             raise DataError(f"{path}: a mention has two entries")
+        bad = _unnormalized(strtab, spans, mentions)
+        if bad is not None:
+            raise DataError(f"{path}: mention {bad!r} is not in normalized form")
         if max_len != max(map(len, map(str.split, mentions)), default=0):
             raise DataError(f"{path}: the header's max token length does not match "
                             "the mentions")
@@ -327,6 +336,23 @@ def _check_candidates(path: str, triples: np.ndarray, per_entry: np.ndarray,
                                           & (articles[:-1] < articles[1:]))
     if np.any(same_row & ~ahead):
         raise DataError(f"{path}: candidates are not ordered by prior, then article id")
+
+
+def _unnormalized(strtab, spans: np.ndarray, mentions: list[str]) -> str | None:
+    """The first mention that ``normalize_mention`` would change, or None.
+
+    Its fixed points are the non-empty strings with no "(", no upper case and
+    no whitespace but single inner spaces. That is checked over the whole
+    string table; only a table that fails is searched mention by mention.
+    """
+    text, tab = strtab.decode("utf-8"), np.frombuffer(strtab, np.uint8)
+    starts, lengths = spans["offset"], spans["length"]
+    if (np.any(lengths == 0) or "(" in text or "  " in text or text.lower() != text
+            or not text.isprintable() and _OTHER_WS_RE.search(text)
+            or np.any(tab[starts] == 32)
+            or np.any(tab[starts + lengths - 1] == 32)):
+        return next(m for m in mentions if not m or normalize_mention(m) != m)
+    return None
 
 
 def _check_articles(path: str, max_article: int, n_nodes: int) -> None:

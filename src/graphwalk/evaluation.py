@@ -273,42 +273,23 @@ def ned_report(name: str, gold, titles_by_id: dict[str, str],
     return report
 
 
-def rel_run_report(name: str, rows, baselines: list[str], config: dict) -> EvalReport:
-    """``rel_report`` over ``score_pairs`` rows, plus the skipped-pair count."""
-    scores = {(t1, t2): s for t1, t2, _, s in rows if s is not None}
-    report = rel_report(name, [row[:3] for row in rows], scores, baselines, config)
-    report.extras["skipped_pairs"] = sum(1 for row in rows if row[3] is None)
-    return report
-
-
-def ned_run_report(name: str, queries, preds, nodes: NodeTable,
-                   baselines: list[str], config: dict,
-                   redirects: dict[str, str] | None = None,
-                   resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> EvalReport:
-    """``ned_report`` over a run's predictions, plus its fallback and NIL counts."""
-    titles = {p.query_id: p.title(nodes) for p in preds}
-    report = ned_report(name, [(q.query_id, q.gold_title) for q in queries], titles,
-                        baselines, config, redirects, resamples, seed)
-    fallback = sum(1 for p in preds if p.fallback_used)
-    report.extras["fallback_count"] = fallback
-    report.extras["fallback_rate"] = fallback / len(preds)
-    report.extras["nil_predictions"] = sum(1 for p in preds if p.predicted is None)
-    return report
-
-
 def run_eval(task: str, system: str, dataset_paths: list[str], *,
              graph: TypedGraph, store, nodes: NodeTable,
              params: PprParams | None = None, config: dict | None = None,
              baseline_paths: list[str] | None = None,
              resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
-             on_unknown: str = "skip", workers: int | None = None):
+             on_unknown: str = "skip", workers: int | None = None,
+             redirects: dict[str, str] | None = None, resolver=None,
+             include_target: bool = True, out: str | None = None):
     """Run one system over one or more datasets (pooled) and score it.
 
-    Returns (EvalReport, predictions). Multiple dataset paths are
-    concatenated before the metric and the significance test, so pooled
-    comparisons use a single test over all instances. Without ``params``
-    each task walks with its own defaults. The walks run on ``workers``
-    threads (None: every core).
+    Returns (EvalReport, predictions), the report None when no instance has
+    gold. Multiple dataset paths are concatenated before the metric and the
+    significance test, so pooled comparisons use a single test over all
+    instances. Without ``params`` each task walks with its own defaults, on
+    ``workers`` threads (None: every core). With ``out`` the predictions are
+    written there as TSV before scoring, so a scoring error still leaves
+    them. The extras count skipped pairs, or NED fallbacks and NIL answers.
     """
     name = "+".join(dataset_paths)
     config = dict(config or {})
@@ -319,15 +300,33 @@ def run_eval(task: str, system: str, dataset_paths: list[str], *,
     if task == "rel":
         pairs = [p for path in dataset_paths for p in load_relatedness_pairs(path)]
         rows = rel_mod.score_pairs(pairs, graph, store, params, system, on_unknown, workers)
-        return rel_run_report(name, rows, baselines, config), rows
+        if out:
+            rel_mod.write_predictions(rows, out)
+        if all(gold is None for _, _, gold in pairs):
+            return None, rows
+        scores = {(t1, t2): s for t1, t2, _, s in rows if s is not None}
+        report = rel_report(name, pairs, scores, baselines, config)
+        report.extras["skipped_pairs"] = sum(1 for row in rows if row[3] is None)
+        return report, rows
 
     if task != "ned":
         raise ValueError(f"unknown task {task!r}")
 
     queries = [q for path in dataset_paths for q in ned_mod.load_queries(path)]
-    preds = ned_mod.run_batch(queries, graph, store, params, system, workers, nodes=nodes)
-    return ned_run_report(name, queries, preds, nodes, baselines, config,
-                          resamples=resamples, seed=seed), preds
+    preds = ned_mod.run_batch(queries, graph, store, params, system, workers,
+                              resolver=resolver, nodes=nodes, include_target=include_target)
+    if out:
+        ned_mod.write_predictions(preds, nodes, out)
+    if all(q.gold_title is None for q in queries):
+        return None, preds
+    titles = {p.query_id: p.title(nodes) for p in preds}
+    report = ned_report(name, [(q.query_id, q.gold_title) for q in queries], titles,
+                        baselines, config, redirects, resamples, seed)
+    fallback = sum(1 for p in preds if p.fallback_used)
+    report.extras["fallback_count"] = fallback
+    report.extras["fallback_rate"] = fallback / len(preds)
+    report.extras["nil_predictions"] = sum(1 for p in preds if p.predicted is None)
+    return report, preds
 
 
 def compare_prediction_files(task: str, dataset_paths: list[str],

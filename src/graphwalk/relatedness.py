@@ -127,6 +127,16 @@ def score_pairs(pairs, graph: TypedGraph, store, params: PprParams | None,
     return out
 
 
+def write_predictions(rows, path: str) -> None:
+    """Write ``score_pairs`` rows as TSV: term1, term2, gold, score (NA if skipped)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("term1\tterm2\tgold\tscore\n")
+        for t1, t2, gold, score in rows:
+            g = "" if gold is None else f"{gold:.12g}"
+            s = "NA" if score is None else f"{score:.12g}"
+            fh.write(f"{t1}\t{t2}\t{g}\t{s}\n")
+
+
 def _term_vectors(terms, graph: TypedGraph, store, params: PprParams,
                   workers: int | None) -> dict:
     """``term_ppv`` of each distinct term (None when unknown), walked in blocks.

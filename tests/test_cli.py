@@ -5,9 +5,11 @@ import shutil
 
 import pytest
 
+from graphwalk import evaluation as eval_mod
 from graphwalk import relatedness as rel_mod
 from graphwalk.cli import main
 from graphwalk.dictionary import Candidate, DictEntry, Dictionary, SqliteDictionary
+from graphwalk.errors import DataError
 
 from conftest import LIONS_SENTENCE, write_lions_corpus, write_tsv
 
@@ -240,7 +242,7 @@ def test_rel_and_rel_sweep_outputs_do_not_depend_on_workers(workspace, tmp_path,
         outputs.append((out.read_bytes(), rep.read_bytes()))
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    # a sweep's cells on several threads walk on one thread each
+    # sweep --workers N walks each cell on N threads, as rel and ned do
     walk_workers = []
     score_pairs = rel_mod.score_pairs
 
@@ -257,7 +259,7 @@ def test_rel_and_rel_sweep_outputs_do_not_depend_on_workers(workspace, tmp_path,
                      "--alphas", "0.5,0.85", "--workers", workers]) == 0
         sweeps.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert sweeps[0] == sweeps[1]
-    assert walk_workers == [None, None, 1, 1]
+    assert walk_workers == [1, 1, 2, 2]
 
 
 def test_iters_alias_runs_a_single_iteration(workspace, tmp_path):
@@ -432,6 +434,82 @@ def test_sweep_cell_reports_echo_their_config(workspace, tmp_path):
     assert config["alpha"] == 0.85
     assert config["iterations"] == 5
     assert config["graph_spec"] == "Hr"
+
+
+def test_a_sweep_cell_reports_what_rel_and_ned_report(workspace, tmp_path):
+    data = str(workspace["data"])
+    for task, flag in (("rel", "--pairs"), ("ned", "--queries")):
+        dataset = str(workspace["pairs" if task == "rel" else "queries"])
+        run_report, out = tmp_path / f"{task}.json", tmp_path / f"{task}_sweep"
+        assert main([task, "--data", data, flag, dataset, "--out", str(tmp_path / task),
+                     "--report", str(run_report)]) == 0
+        assert main(["sweep", "--data", data, "--task", task, "--dataset", dataset,
+                     "--out", str(out)]) == 0
+        (cell_report,) = out.glob("*.json")
+        if task == "rel":
+            assert cell_report.read_bytes() == run_report.read_bytes()
+        else:
+            run = json.loads(run_report.read_text())
+            assert run["config"].pop("include_target") is True
+            assert json.loads(cell_report.read_text()) == run
+
+
+@pytest.mark.parametrize("blob", ['{"metric": "spear', '[1, 2]', '{"metric": "accuracy"}',
+                                  "\udcff"],
+                         ids=["cut_short", "not_an_object", "missing_keys", "not_utf8"])
+def test_a_finished_sweep_cell_with_a_malformed_report_is_a_data_error(
+        workspace, tmp_path, capsys, blob):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--data", str(workspace["data"]), "--task", "ned",
+            "--dataset", str(workspace["queries"]), "--out", str(out), "--iters", "1"]
+    assert main(argv) == 0
+    (report,) = out.glob("*.json")
+    report.write_bytes(blob.encode("utf-8", "surrogateescape"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{report}: malformed cell report; delete {report.with_suffix('.done')} " in err
+
+
+@pytest.mark.parametrize("task", ["rel", "ned"])
+def test_a_sweep_over_a_dataset_without_gold_is_the_report_data_error(
+        workspace, tmp_path, capsys, task):
+    dataset = tmp_path / "nogold.tsv"
+    if task == "rel":
+        write_tsv(dataset, "term1\tterm2", [("alan kourie", "lions"), ("cape town", "lions")])
+        run = ["rel", "--pairs", str(dataset)]
+    else:
+        shutil.copy(workspace["root"] / "doc.txt", tmp_path / "doc.txt")
+        write_tsv(dataset, "query_id\tmention\tcontext_file", [("q0", "Lions", "doc.txt")])
+        run = ["ned", "--queries", str(dataset)]
+    data = ["--data", str(workspace["data"])]
+    assert main([*run, *data, "--out", str(tmp_path / "p.tsv"),
+                 "--report", str(tmp_path / "r.json")]) == 2
+    run_err = capsys.readouterr().err
+    assert "cannot write a report" in run_err
+    out = tmp_path / "sweep"
+    assert main(["sweep", *data, "--task", task, "--dataset", str(dataset),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == run_err
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_cells_run_in_turn_and_print_as_they_finish(workspace, tmp_path, capsys,
+                                                         monkeypatch):
+    run_eval, printed = eval_mod.run_eval, []
+
+    def spy(*args, **kwargs):
+        printed.append(capsys.readouterr().out)
+        if len(printed) == 3:
+            raise DataError("third cell fails")
+        return run_eval(*args, **kwargs)
+
+    monkeypatch.setattr(eval_mod, "run_eval", spy)
+    assert main(["sweep", "--data", str(workspace["data"]), "--task", "ned",
+                 "--dataset", str(workspace["queries"]), "--out", str(tmp_path / "s"),
+                 "--iters", "1,2,3,4", "--workers", "2"]) == 2
+    assert printed == ["", "Hr_a0.85_i1_knone_P: done\n", "Hr_a0.85_i2_knone_P: done\n"]
+    assert "third cell fails" in capsys.readouterr().err
 
 
 def test_usage_error_for_unknown_flag(capsys):

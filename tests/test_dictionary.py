@@ -485,6 +485,41 @@ def test_load_rejects_a_mention_stored_twice(tmp_path):
         Dictionary.load(str(path))
 
 
+_ONE = (Candidate(1, 1, 1.0),)
+_UNNORMALIZED = ["Zeta  (x)", "Zeta abcd", "zeta(abcd", "zeta\tabcd", "zeta  bcd",
+                 " zeta bcd", "zeta bcd ", "zet\u00a0abcd"]  # nine UTF-8 bytes each
+
+
+@pytest.mark.parametrize("mention", [*_UNNORMALIZED, "", "\u03a3"])
+def test_constructor_rejects_a_mention_not_in_normalized_form(mention):
+    with pytest.raises(ValueError, match="is not in normalized form"):
+        Dictionary({"ok go": DictEntry("ok go", _ONE), mention: DictEntry(mention, _ONE)})
+
+
+@pytest.mark.parametrize("mention", _UNNORMALIZED)
+def test_load_rejects_a_mention_not_in_normalized_form(tmp_path, mention):
+    # written as a normalized mention of the same byte length, then overwritten
+    path = tmp_path / "dict.gwdict"
+    Dictionary({m: DictEntry(m, _ONE) for m in ("ok go", "zeta abcd")}).save(str(path))
+    path.write_bytes(path.read_bytes().replace(b"zeta abcd", mention.encode("utf-8")))
+    with pytest.raises(DataError, match=re.escape(f"{path}: mention {mention!r} is not in "
+                                                  "normalized form")):
+        Dictionary.load(str(path), n_nodes=5)
+
+
+@given(st.lists(st.text(alphabet=" \t\x1c\u00a0\u200b()aAz\u03a3\u03c3\u0130", max_size=6),
+                min_size=1, max_size=4, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_a_dictionary_takes_exactly_the_mentions_build_can_write(mentions):
+    fixed = all(m and normalize_mention(m) == m for m in mentions)
+    try:
+        Dictionary({m: DictEntry(m, _ONE) for m in mentions})
+    except ValueError:
+        assert not fixed
+    else:
+        assert fixed
+
+
 def test_priors_of_totals_from_2_53_on_load_as_from_counts_wrote_them(tmp_path):
     # numpy divides float64 copies of count and total: that is Python's exact
     # c / total only while totals stay below 2**53. Past it the two differ,
@@ -521,6 +556,7 @@ def test_any_single_bit_flip_is_rejected_or_loads_a_sound_dictionary(tmp_path_fa
     assert len(loaded) == len(entries)
     assert loaded.max_token_len == max(len(m.split()) for m in entries)
     for mention, entry in entries.items():
+        assert mention and normalize_mention(mention) == mention
         assert loaded.get(mention) == entry
         cands = entry.candidates
         assert cands and all(0 <= c.article < n_nodes for c in cands)
