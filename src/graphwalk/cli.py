@@ -302,13 +302,13 @@ def cmd_sweep(args) -> int:
     for spec, p in cells:
         name = _cell_name(spec, p)
         path = os.path.join(args.out, name + ".json")
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 rep = json.load(fh)
-                scored = [rep["metric"], rep["value"], rep["n"]]
-            except (ValueError, KeyError, TypeError):
-                raise DataError(f"{path}: malformed cell report; delete "
-                                f"{os.path.join(args.out, name)}.done to rerun the cell") from None
+            scored = [rep["metric"], rep["value"], rep["n"]]
+        except (OSError, ValueError, KeyError, TypeError):
+            raise DataError(f"{path}: malformed cell report; delete "
+                            f"{os.path.join(args.out, name)}.done to rerun the cell") from None
         rows.append([name, spec, p.alpha, p.iterations, "" if p.k is None else p.k,
                      "P" if p.prior_init else "noP", *scored])
     summary_path = os.path.join(args.out, "summary.csv")

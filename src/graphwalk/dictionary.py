@@ -45,10 +45,6 @@ class DictEntry:
     mention: str                       # already normalized
     candidates: tuple[Candidate, ...]  # sorted by descending prior, ties by id
 
-    @property
-    def top(self) -> Candidate:
-        return self.candidates[0]
-
 
 def normalize_mention(raw: str) -> str:
     """Lowercase, drop parenthesized text, collapse whitespace, trim.
@@ -79,32 +75,51 @@ class Dictionary:
     """
 
     def __init__(self, entries: Mapping[str, DictEntry]):
-        """Pack ``entries`` into snapshot bytes: string table, entry offsets,
-        triples, each in sorted mention order."""
-        mentions = sorted(entries)
-        strtab, offsets, triples, first = bytearray(), bytearray(), bytearray(), [0]
-        for m in mentions:
-            mb = m.encode("utf-8")
-            cands = entries[m].candidates
-            offsets += _OFFSET.pack(len(strtab), len(mb), len(cands))
-            strtab += mb
-            for c in cands:
-                triples += _TRIPLE.pack(c.article, c.count, c.prior)
-            first.append(first[-1] + len(cands))
-        bad = _unnormalized(strtab, np.frombuffer(offsets, _OFFSET_DTYPE), mentions)
+        """Pack ``entries`` by sorted mention. A ValueError, with ``load``'s
+        message, when ``load`` would reject the packed bytes."""
+        self._index(_pack((m, entries[m].candidates) for m in sorted(entries)))
+
+    def _index(self, data: bytes) -> None:
+        """Hold a GWDICT1 snapshot and index its mentions: mention -> row, and
+        the triples of row r at ``_triples[_first[r]:_first[r + 1]]`` (in
+        triples, not bytes). A ValueError when the bytes are short, padded or
+        undecodable, or are not what ``from_counts`` could have written (see
+        ``_check_candidates``)."""
+        if not data.startswith(_MAGIC):
+            raise ValueError("not a dictionary snapshot")
+        try:
+            n_entries, max_len, strtab_len, n_triples = _HEADER.unpack_from(data, len(_MAGIC))
+            offs_at = len(_MAGIC) + _HEADER.size
+            strtab_at = offs_at + n_entries * _OFFSET.size
+            triples_at = strtab_at + strtab_len
+            if triples_at + n_triples * _TRIPLE.size != len(data):
+                raise ValueError("snapshot size does not match its header")
+            spans = np.frombuffer(data, _OFFSET_DTYPE, n_entries, offs_at)
+            bounds = np.zeros(n_entries + 1, dtype=np.uint64)
+            np.cumsum(spans["length"], out=bounds[1:])
+            if not np.array_equal(spans["offset"], bounds[:-1]) or bounds[-1] != strtab_len:
+                raise ValueError("entry strings do not tile the string table")
+            first = np.zeros(n_entries + 1, dtype=np.int64)
+            np.cumsum(spans["triples"], out=first[1:])
+            if first[-1] != n_triples:
+                raise ValueError("entry candidates do not tile the triples")
+            strtab = data[strtab_at:triples_at]
+            ends = bounds.tolist()
+            mentions = [strtab[a:b].decode("utf-8") for a, b in zip(ends, ends[1:])]
+        except (struct.error, ValueError):
+            raise ValueError("truncated or corrupt snapshot") from None
+        rows = dict(zip(mentions, range(n_entries)))
+        if len(rows) != n_entries:
+            raise ValueError("a mention has two entries")
+        bad = _unnormalized(strtab, spans, mentions)
         if bad is not None:
             raise ValueError(f"mention {bad!r} is not in normalized form")
-        max_len = max((len(m.split()) for m in mentions), default=0)
-        header = _HEADER.pack(len(mentions), max_len, len(strtab), first[-1])
-        self._hold(b"".join((_MAGIC, header, offsets, strtab, triples)),
-                   dict(zip(mentions, range(len(mentions)))), first, max_len)
-
-    def _hold(self, data: bytes, rows: dict[str, int], first: list[int], max_len: int):
-        # the snapshot, mention -> row, and the triples of row r at
-        # _triples[_first[r]:_first[r + 1]] (in triples, not bytes)
-        self._data, self._rows, self._first, self.max_token_len = data, rows, first, max_len
-        self._triples = memoryview(data)[len(data) - first[-1] * _TRIPLE.size:]
-        self._entries = None
+        if max_len != max(map(len, map(str.split, mentions)), default=0):
+            raise ValueError("the header's max token length does not match the mentions")
+        _check_candidates(np.frombuffer(data, _TRIPLE_DTYPE, n_triples, triples_at),
+                          spans["triples"], first)
+        self._data, self._triples, self._entries = data, memoryview(data)[triples_at:], None
+        self._rows, self._first, self.max_token_len = rows, first.tolist(), max_len
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -154,15 +169,15 @@ class Dictionary:
             for article, count in per_article.items():
                 if count > 0:
                     slot[article] = slot.get(article, 0) + count
-        entries: dict[str, DictEntry] = {}
-        for m, per_article in merged.items():
+
+        def triples(per_article: dict[int, int]) -> list[tuple[int, int, float]]:
             total = sum(per_article.values())
-            if total <= 0:
-                continue
-            cands = sorted(((a, c, c / total) for a, c in per_article.items()),
-                           key=lambda t: (-t[2], t[0]))
-            entries[m] = DictEntry(m, tuple(Candidate(*t) for t in cands))
-        return cls(entries)
+            return sorted(((a, c, c / total) for a, c in per_article.items()),
+                          key=lambda t: (-t[2], t[0]))
+
+        d = cls.__new__(cls)
+        d._index(_pack((m, triples(p)) for m, p in sorted(merged.items()) if p))
+        return d
 
     @classmethod
     def build(cls, counts_path: str, n_nodes: int | None = None) -> "Dictionary":
@@ -191,50 +206,18 @@ class Dictionary:
     @classmethod
     def load(cls, path: str, n_nodes: int | None = None) -> "Dictionary":
         """Read a ``save`` file, keeping its bytes and decoding only its
-        mentions. A short, padded or undecodable file is a DataError, and so
-        is one that ``from_counts`` could not have written (see
-        ``_check_candidates``), or a candidate article id >= ``n_nodes`` when
-        that is given."""
+        mentions. A DataError when ``_index`` rejects the bytes, or when a
+        candidate article id is >= ``n_nodes`` and that is given."""
         with open(path, "rb") as fh:
             data = fh.read()
-        if not data.startswith(_MAGIC):
-            raise DataError(f"{path}: not a dictionary snapshot")
-        try:
-            n_entries, max_len, strtab_len, n_triples = _HEADER.unpack_from(data, len(_MAGIC))
-            offs_at = len(_MAGIC) + _HEADER.size
-            strtab_at = offs_at + n_entries * _OFFSET.size
-            triples_at = strtab_at + strtab_len
-            if triples_at + n_triples * _TRIPLE.size != len(data):
-                raise ValueError("snapshot size does not match its header")
-            spans = np.frombuffer(data, _OFFSET_DTYPE, n_entries, offs_at)
-            bounds = np.zeros(n_entries + 1, dtype=np.uint64)
-            np.cumsum(spans["length"], out=bounds[1:])
-            if not np.array_equal(spans["offset"], bounds[:-1]) or bounds[-1] != strtab_len:
-                raise ValueError("entry strings do not tile the string table")
-            first = np.zeros(n_entries + 1, dtype=np.int64)
-            np.cumsum(spans["triples"], out=first[1:])
-            if first[-1] != n_triples:
-                raise ValueError("entry candidates do not tile the triples")
-            strtab = data[strtab_at:triples_at]
-            ends = bounds.tolist()
-            mentions = [strtab[a:b].decode("utf-8") for a, b in zip(ends, ends[1:])]
-        except (struct.error, ValueError):
-            raise DataError(f"{path}: truncated or corrupt snapshot") from None
-        rows = dict(zip(mentions, range(n_entries)))
-        if len(rows) != n_entries:
-            raise DataError(f"{path}: a mention has two entries")
-        bad = _unnormalized(strtab, spans, mentions)
-        if bad is not None:
-            raise DataError(f"{path}: mention {bad!r} is not in normalized form")
-        if max_len != max(map(len, map(str.split, mentions)), default=0):
-            raise DataError(f"{path}: the header's max token length does not match "
-                            "the mentions")
-        triples = np.frombuffer(data, _TRIPLE_DTYPE, n_triples, triples_at)
-        _check_candidates(path, triples, spans["triples"], first)
-        if n_nodes is not None and n_triples:
-            _check_articles(path, int(triples["article"].max()), n_nodes)
         d = cls.__new__(cls)
-        d._hold(data, rows, first.tolist(), max_len)
+        try:
+            d._index(data)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        if n_nodes is not None and len(d._triples):
+            articles = np.frombuffer(d._triples, _TRIPLE_DTYPE)["article"]
+            _check_articles(path, int(articles.max()), n_nodes)
         return d
 
 
@@ -299,23 +282,40 @@ class SqliteDictionary:
         return cls(path)
 
 
+def _pack(rows) -> bytes:
+    """GWDICT1 snapshot bytes of ``(mention, triples)`` rows in sorted mention
+    order, each triple an (article, count, prior): the header, then per
+    entry its string offset, length and triple count, the string table and
+    the triples."""
+    strtab, offsets, triples, max_len = bytearray(), bytearray(), bytearray(), 0
+    for m, cands in rows:
+        mb = m.encode("utf-8")
+        offsets += _OFFSET.pack(len(strtab), len(mb), len(cands))
+        strtab += mb
+        for t in cands:
+            triples += _TRIPLE.pack(*t)
+        max_len = max(max_len, len(m.split()))
+    header = _HEADER.pack(len(offsets) // _OFFSET.size, max_len, len(strtab),
+                          len(triples) // _TRIPLE.size)
+    return b"".join((_MAGIC, header, offsets, strtab, triples))
+
+
 def _candidates(block) -> tuple[Candidate, ...]:
     """Decode a run of packed triples."""
     return tuple(map(Candidate._make, _TRIPLE.iter_unpack(block)))
 
 
-def _check_candidates(path: str, triples: np.ndarray, per_entry: np.ndarray,
-                      first: np.ndarray) -> None:
+def _check_candidates(triples: np.ndarray, per_entry: np.ndarray, first: np.ndarray) -> None:
     """What ``from_counts`` writes: every entry has candidates, every count is
     positive, every prior is count / entry total, and candidates run by
-    descending prior, ties by ascending article id."""
+    descending prior, ties by ascending article id. A ValueError if not."""
     if not per_entry.size:
         return
     if per_entry.min() == 0:
-        raise DataError(f"{path}: an entry has no candidates")
+        raise ValueError("an entry has no candidates")
     counts, priors, articles = triples["count"], triples["prior"], triples["article"]
     if counts.min() == 0:
-        raise DataError(f"{path}: candidate priors do not match their counts")
+        raise ValueError("candidate priors do not match their counts")
     starts = first[:-1]
     # from_counts stores Python's exactly rounded c / total. Float64 sums of
     # integers are exact below 2**53 and never round below it, so for rows
@@ -329,13 +329,13 @@ def _check_candidates(path: str, triples: np.ndarray, per_entry: np.ndarray,
         total = sum(cs)
         wrong[r] = priors[row].tolist() != [c / total for c in cs]
     if wrong.any():
-        raise DataError(f"{path}: candidate priors do not match their counts")
+        raise ValueError("candidate priors do not match their counts")
     same_row = np.ones(len(triples) - 1, dtype=bool)
     same_row[first[1:-1] - 1] = False
     ahead = (priors[:-1] > priors[1:]) | ((priors[:-1] == priors[1:])
                                           & (articles[:-1] < articles[1:]))
     if np.any(same_row & ~ahead):
-        raise DataError(f"{path}: candidates are not ordered by prior, then article id")
+        raise ValueError("candidates are not ordered by prior, then article id")
 
 
 def _unnormalized(strtab, spans: np.ndarray, mentions: list[str]) -> str | None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -111,10 +112,9 @@ def _prior_prediction(query: NedQuery, entry: DictEntry,
     return NedPrediction(query.query_id, entry.candidates[0].article, scores, fallback)
 
 
-def _rank(query: NedQuery, scored: list[tuple[int, float]],
-          fallback: bool = False) -> NedPrediction:
+def _rank(query: NedQuery, scored: list[tuple[int, float]]) -> NedPrediction:
     scored.sort(key=lambda t: (-t[1], t[0]))
-    return NedPrediction(query.query_id, scored[0][0], tuple(scored), fallback)
+    return NedPrediction(query.query_id, scored[0][0], tuple(scored))
 
 
 def disambiguate(query: NedQuery, graph: TypedGraph, store,
@@ -313,9 +313,10 @@ class CachedHttpResolver:
 
     ``url_template`` must contain ``{query}``; the response is expected to be
     JSON, either opensearch-shaped (``[query, [titles...]]``) or an object
-    with a ``title`` key. Lookups are rate limited, cache writes are atomic,
-    and network failures resolve to None so the candidate cascade simply
-    moves on.
+    with a ``title`` key. Lookups are rate limited and cache writes are
+    atomic. A failed fetch resolves to None, so the candidate cascade simply
+    moves on, and is not cached, so a later call tries it again; a response
+    with no title is cached as null.
     """
 
     def __init__(self, url_template: str, cache_path: str,
@@ -348,7 +349,10 @@ class CachedHttpResolver:
             now = time.monotonic()
             self._last_call = slot = max(now, self._last_call + self.min_interval)
         time.sleep(slot - now)
-        title = self._fetch(mention)
+        try:
+            title = self._fetch(mention)
+        except (OSError, ValueError, http.client.HTTPException):
+            return None
         with self._lock:
             self._cache[mention] = title
             self._save()
@@ -356,12 +360,8 @@ class CachedHttpResolver:
 
     def _fetch(self, mention: str) -> str | None:
         url = self.url_template.format(query=urllib.parse.quote(mention))
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as resp:
-                payload = json.load(resp)
-        except Exception:
-            return None
-        return _extract_title(payload)
+        with urllib.request.urlopen(url, timeout=self.timeout) as resp:
+            return _extract_title(json.load(resp))
 
     def _save(self) -> None:
         tmp = self.cache_path + ".tmp"

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -56,6 +59,49 @@ def test_build_is_deterministic(workspace, tmp_path):
                  "--out", str(other), "--specs", "Hr,Hu", "--sqlite-dict"]) == 0
     for name in ("graph.Hr.gwkb", "graph.Hu.gwkb", "dict.gwdict", "nodes.tsv"):
         assert (workspace["data"] / name).read_bytes() == (other / name).read_bytes()
+
+
+# sha256 of the files `build` writes for the workspace and of the ppr
+# predictions of `rel` and `ned --workers 1` on it (recorded at commit
+# 4e9fd21). A change meant to keep outputs byte-identical must reproduce
+# them; one that alters an output on purpose records its new digest here
+GOLDEN_DIGESTS = {
+    "nodes.tsv": "63dc0917f9d1b4691acf02ccfc9d73ecb61d3adc167831c13ef6a17737180cbd",
+    "graph.Hr.gwkb": "f8b1ca5e1cf84eb416b276301ef22b359c04d0622c12bc749301cae15481348a",
+    "graph.Hu.gwkb": "3fae06203fb6cea1a4467cf8664c9612177c81980f9edfb83c9da0b967b8776e",
+    "dict.gwdict": "445ee290caf71820ec1cd28edd2109aa8747e403bcbd498d8f9ca47a071438e8",
+    "dict.sqlite rows": "4c838780022b27630eb1d2fa1dc47a977901f7f1a1edaa8f67b996dacd35a2eb",
+    "rel.tsv": "eb0e44d89a706e221213905520c842a1d1a764ab47f976232ab9ed6d10b163c1",
+    "ned.tsv": "0e46491b0a173a00bbee142757f714ec0f18b5e35aff2d78977405917d66ba2f",
+}
+
+
+def _sqlite_rows_digest(path) -> str:
+    """The sqlite dictionary's rows, not its file bytes (which depend on the
+    sqlite library): meta and entries, each in key order."""
+    h = hashlib.sha256()
+    with closing(sqlite3.connect(path)) as conn:
+        for table in ("meta", "entries"):
+            for key, value in conn.execute(f"SELECT * FROM {table} ORDER BY 1"):
+                value = value if isinstance(value, bytes) else value.encode("utf-8")
+                h.update(b"%s\t%d\t%s\n" % (key.encode("utf-8"), len(value), value))
+    return h.hexdigest()
+
+
+def test_workspace_outputs_match_the_recorded_digests(workspace, tmp_path):
+    data = workspace["data"]
+    assert main(["rel", "--data", str(data), "--pairs", str(workspace["pairs"]),
+                 "--out", str(tmp_path / "rel.tsv"), "--workers", "1"]) == 0
+    assert main(["ned", "--data", str(data), "--queries", str(workspace["queries"]),
+                 "--system", "ppr", "--out", str(tmp_path / "ned.tsv"),
+                 "--workers", "1"]) == 0
+    files = {name: data / name
+             for name in ("nodes.tsv", "graph.Hr.gwkb", "graph.Hu.gwkb", "dict.gwdict")}
+    files.update({"rel.tsv": tmp_path / "rel.tsv", "ned.tsv": tmp_path / "ned.tsv"})
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in files.items()}
+    digests["dict.sqlite rows"] = _sqlite_rows_digest(data / "dict.sqlite")
+    assert digests == GOLDEN_DIGESTS
 
 
 def test_build_rejects_unknown_spec_token(workspace, tmp_path, capsys):
@@ -455,8 +501,9 @@ def test_a_sweep_cell_reports_what_rel_and_ned_report(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("blob", ['{"metric": "spear', '[1, 2]', '{"metric": "accuracy"}',
-                                  "\udcff"],
-                         ids=["cut_short", "not_an_object", "missing_keys", "not_utf8"])
+                                  "\udcff", None],
+                         ids=["cut_short", "not_an_object", "missing_keys", "not_utf8",
+                              "deleted"])
 def test_a_finished_sweep_cell_with_a_malformed_report_is_a_data_error(
         workspace, tmp_path, capsys, blob):
     out = tmp_path / "sweep"
@@ -464,7 +511,10 @@ def test_a_finished_sweep_cell_with_a_malformed_report_is_a_data_error(
             "--dataset", str(workspace["queries"]), "--out", str(out), "--iters", "1"]
     assert main(argv) == 0
     (report,) = out.glob("*.json")
-    report.write_bytes(blob.encode("utf-8", "surrogateescape"))
+    if blob is None:
+        report.unlink()
+    else:
+        report.write_bytes(blob.encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err

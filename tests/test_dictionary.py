@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 import struct
 import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphwalk as gw
-from graphwalk.dictionary import (Candidate, DictEntry, Dictionary, SqliteDictionary,
+from graphwalk.dictionary import (Candidate, DictEntry, Dictionary, SqliteDictionary, _pack,
                                   longest_match_scan, normalize_mention)
 from graphwalk.errors import DataError
 
@@ -61,7 +62,7 @@ def test_priors_are_count_ratios():
     d = Dictionary.from_counts({"m": {1: 3, 2: 1}})
     entry = d.get("m")
     assert [c.prior for c in entry.candidates] == [0.75, 0.25]
-    assert entry.top.article == 1
+    assert entry.candidates[0].article == 1
 
 
 def test_gotham_entry_priors_round_to_published_values():
@@ -425,8 +426,13 @@ def test_entries_are_built_once_under_concurrent_readers(tmp_path, gotham_dict, 
 
 
 def test_load_rejects_an_entry_without_candidates(tmp_path):
+    # one entry with one triple, edited into the same entry with none
     path = tmp_path / "dict.gwdict"
-    Dictionary({"x": DictEntry("x", ())}).save(str(path))
+    Dictionary.from_counts({"x": {1: 1}}).save(str(path))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<Q", blob, _HEADER_AT + 24, 0)  # the header's triple count
+    struct.pack_into("<I", blob, _HEADER_AT + 32 + 12, 0)  # the entry's triple count
+    path.write_bytes(bytes(blob[:-_TRIPLE_SIZE]))
     with pytest.raises(DataError, match=re.escape(f"{path}: an entry has no candidates")):
         Dictionary.load(str(path))
 
@@ -518,6 +524,80 @@ def test_a_dictionary_takes_exactly_the_mentions_build_can_write(mentions):
         assert not fixed
     else:
         assert fixed
+
+
+def _from_counts_could_write(entries: dict) -> bool:
+    """The oracle: normalized mentions, each with candidates whose counts are
+    positive, whose priors are count / total exactly, in descending prior,
+    ties by ascending article id."""
+    for m, entry in entries.items():
+        cands = entry.candidates
+        if not m or normalize_mention(m) != m or not cands:
+            return False
+        if any(c.count <= 0 for c in cands):
+            return False
+        total = sum(c.count for c in cands)
+        if any(c.prior != c.count / total for c in cands):
+            return False
+        keys = [(-c.prior, c.article) for c in cands]
+        if keys != sorted(set(keys)):
+            return False
+    return True
+
+
+@st.composite
+def _entry_maps(draw):
+    """Small maps of from_counts-shaped entries, one of which may be spoiled."""
+    mentions = st.one_of(st.sampled_from(["a", "zz", "a b", "b a z"]),
+                         st.text(alphabet="az A(\t", max_size=4))
+    counts = st.dictionaries(st.integers(0, 9), st.integers(1, 5), min_size=1, max_size=4)
+    entries = {}
+    for m, per_article in draw(st.dictionaries(mentions, counts, max_size=4)).items():
+        total = sum(per_article.values())
+        entries[m] = DictEntry(m, tuple(sorted(
+            (Candidate(a, c, c / total) for a, c in per_article.items()),
+            key=lambda c: (-c.prior, c.article))))
+    how = draw(st.sampled_from(["none", "empty", "zero_count", "shuffle", "ulp_up",
+                                "ulp_down"]))
+    if how == "none" or not entries:
+        return entries
+    m = draw(st.sampled_from(sorted(entries)))
+    cands = list(entries[m].candidates)
+    i = draw(st.integers(0, len(cands) - 1))
+    if how == "empty":
+        cands = []
+    elif how == "zero_count":
+        cands[i] = cands[i]._replace(count=0)
+    elif how == "shuffle":
+        cands = draw(st.permutations(cands))
+    else:
+        toward = 2.0 if how == "ulp_up" else 0.0
+        cands[i] = cands[i]._replace(prior=float(np.nextafter(cands[i].prior, toward)))
+    entries[m] = DictEntry(m, tuple(cands))
+    return entries
+
+
+@given(_entry_maps())
+@settings(max_examples=300, deadline=None)
+def test_the_constructor_takes_exactly_what_load_takes_and_both_round_trip(entries):
+    ok = _from_counts_could_write(entries)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/dict.gwdict"
+        with open(path, "wb") as fh:  # the bytes the constructor checks
+            fh.write(_pack((m, entries[m].candidates) for m in sorted(entries)))
+        try:
+            d = Dictionary(entries)
+        except ValueError as exc:
+            assert not ok
+            with pytest.raises(DataError, match=re.escape(f"{path}: {exc}") + "$"):
+                Dictionary.load(path)
+            return
+        assert ok
+        d.save(path)
+        assert Dictionary.load(path).entries == entries
+        db = SqliteDictionary.create(d, f"{tmp}/dict.sqlite")
+        assert db.max_token_len == d.max_token_len
+        assert {m: db.get(m) for m in entries} == entries
 
 
 def test_priors_of_totals_from_2_53_on_load_as_from_counts_wrote_them(tmp_path):

@@ -515,6 +515,34 @@ def test_resolver_network_failure_returns_none(tmp_path):
                                   str(tmp_path / "c.json"), timeout=0.2,
                                   min_interval=0.0)
     assert resolver.resolve("anything") is None
+    assert not (tmp_path / "c.json").exists()  # the failure is not cached
+
+
+def test_a_failed_fetch_is_retried_and_a_titleless_one_is_cached(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.json"
+    resolver = CachedHttpResolver("http://example.invalid/{query}", str(cache),
+                                  min_interval=0.0)
+    calls = []
+
+    def fetch_failing_once(mention):
+        calls.append(mention)
+        if len(calls) == 1:
+            raise OSError("connection reset")
+        return {"Alpha": "Alpha_Page"}.get(mention)
+
+    monkeypatch.setattr(resolver, "_fetch", fetch_failing_once)
+    assert resolver.resolve("Alpha") is None
+    assert not cache.exists()
+    assert resolver.resolve("Alpha") == "Alpha_Page"
+    assert resolver.resolve("Beta") is None
+    assert resolver.resolve("Beta") is None
+    assert calls == ["Alpha", "Alpha", "Beta"]
+    assert json.loads(cache.read_text()) == {"Alpha": "Alpha_Page", "Beta": None}
+    # a fresh instance retries nothing it has an answer for
+    resolver2 = CachedHttpResolver("http://example.invalid/{query}", str(cache),
+                                   min_interval=0.0)
+    monkeypatch.setattr(resolver2, "_fetch", lambda m: pytest.fail("not cached"))
+    assert (resolver2.resolve("Alpha"), resolver2.resolve("Beta")) == ("Alpha_Page", None)
 
 
 def test_load_queries_rejects_duplicate_ids(tmp_path):

@@ -57,8 +57,8 @@ def test_symmetry_is_exact(drink_world):
     for t1, t2 in (("drink", "alcohol"), ("coffee", "chemistry"),
                    ("drink", "coffee")):
         assert relate(t1, t2, g, d) == relate(t2, t1, g, d)
-        e1 = d.lookup(t1).top.article
-        e2 = d.lookup(t2).top.article
+        e1 = d.lookup(t1).candidates[0].article
+        e2 = d.lookup(t2).candidates[0].article
         assert ngd_relatedness(e1, e2, g) == ngd_relatedness(e2, e1, g)
 
 
