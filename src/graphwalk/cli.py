@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 usage error, 2 data error. A walk command's run
 values are ``spec``, ``alpha``, ``iterations``, ``k`` and ``prior``; each
 comes from its CLI flag, else from its ``--config`` file line (key=value),
 else from the task's defaults: graph ``DEFAULT_SPEC`` and the walk
-parameters ``PprParams()`` for relatedness, ``ned.DEFAULT_NED_PARAMS`` for
-disambiguation. ``_coerce`` parses the values of config lines, of ``--k`` and
-of the sweep axes; a config value outside ``PprParams``' ranges is a data
-error at its line. ``rel``, ``ned`` and each ``sweep`` cell are one
+parameters ``evaluation.DEFAULT_PARAMS[task]``. ``_coerce`` parses the values
+of config lines, of ``--k`` and of the sweep axes; a config value outside
+``PprParams``' ranges is a data error at its line. NED walks are never
+truncated: ``ned`` has no ``--k``, and ``--ks`` or a config ``k`` other than
+``none`` is an error for NED. ``rel``, ``ned`` and each ``sweep`` cell are one
 ``evaluation.run_eval`` run; sweep cells run in turn. ``--workers`` is the
 walk thread count everywhere (default: every core).
 """
@@ -32,7 +33,6 @@ from .ppr import PprParams
 from .tsv import _undecodable_line
 
 DEFAULT_SPEC = "Hr"
-DEFAULT_PARAMS = {"rel": PprParams(), "ned": ned_mod.DEFAULT_NED_PARAMS}
 NO_GOLD = {"rel": "dataset has no gold scores", "ned": "queries have no gold titles"}
 
 
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, task: str) -> dict:
     out = {}
     with open(path, encoding="utf-8") as fh:
         try:
@@ -63,6 +63,8 @@ def _parse_config_file(path: str) -> dict:
                     raise DataError(f"{path}:{lineno}: unknown key {key!r}") from None
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
+                if key == "k" and task == "ned" and out[key] is not None:
+                    raise DataError(f"{path}:{lineno}: k applies to rel only")
                 if key in ("alpha", "iterations", "k"):
                     try:
                         PprParams(**{key: out[key]})
@@ -100,11 +102,11 @@ def _worker_count(raw: str) -> int:
 
 def _resolve(args, task: str) -> dict:
     """The run values: CLI flags over the ``--config`` file over the task's defaults."""
-    params = DEFAULT_PARAMS[task]
+    params = eval_mod.DEFAULT_PARAMS[task]
     opts = {"spec": DEFAULT_SPEC, "alpha": params.alpha, "iterations": params.iterations,
             "k": params.k, "prior": params.prior_init}
     if args.config:
-        opts.update(_parse_config_file(args.config))
+        opts.update(_parse_config_file(args.config, task))
     opts.update((key, value) for key, value in vars(args).items() if key in opts)
     return opts
 
@@ -115,15 +117,6 @@ def _walk_params(alpha: float, iterations: int, k: int | None, prior: bool) -> P
         return PprParams(alpha=alpha, iterations=iterations, k=k, prior_init=prior)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _run_config(task: str, system: str, spec: str, params: PprParams,
-                dataset: str, data: str, **extra) -> dict:
-    """The run configuration every report embeds."""
-    return {"task": task, "system": system, "graph_spec": spec,
-            "alpha": params.alpha, "iterations": params.iterations, "k": params.k,
-            "prior_init": params.prior_init, "dataset": dataset, "data": data,
-            **extra}
 
 
 def _validate_spec(spec: str) -> str:
@@ -198,20 +191,17 @@ def cmd_run(args) -> int:
     params = _walk_params(opts["alpha"], opts["iterations"], opts["k"], opts["prior"])
     nodes, graph, store = _load_runtime(args.data, opts["spec"], args.sqlite_dict)
     if args.task == "rel":
-        extra = {"on_unknown": args.on_unknown}
-        inputs = {"baseline_paths": args.baseline}
+        inputs = {"on_unknown": args.on_unknown, "baseline_paths": args.baseline}
     else:
-        extra = {"include_target": not args.context_only_teleport}
-        inputs = {"redirects":
+        inputs = {"include_target": not args.context_only_teleport, "redirects":
                   eval_mod.load_redirect_map(args.redirects) if args.redirects else None}
         if args.resolver_url:
             cache = args.resolver_cache or os.path.join(args.data, "resolver_cache.json")
             inputs["resolver"] = ned_mod.CachedHttpResolver(args.resolver_url, cache)
-    config = _run_config(args.task, args.system, opts["spec"], params, args.dataset,
-                         args.data, **extra)
     report, preds = eval_mod.run_eval(
         args.task, args.system, [args.dataset], graph=graph, store=store, nodes=nodes,
-        params=params, config=config, workers=args.workers, out=args.out, **extra, **inputs)
+        params=params, config={"graph_spec": opts["spec"], "data": args.data},
+        workers=args.workers, out=args.out, **inputs)
     if report is None:
         if args.report:
             raise DataError(f"cannot write a report: {NO_GOLD[args.task]}")
@@ -272,12 +262,12 @@ def cmd_sweep(args) -> int:
     if args.system not in systems:
         raise UsageError(f"--system for --task {args.task} must be one of "
                          f"{', '.join(systems)}, got {args.system!r}")
-    if args.task == "ned" and args.on_unknown:
-        raise UsageError("--on-unknown applies to --task rel only")
+    for flag, value in (("--on-unknown", args.on_unknown), ("--ks", args.ks)):
+        if args.task == "ned" and value is not None:
+            raise UsageError(f"{flag} applies to --task rel only")
     cells = _sweep_cells(args, _resolve(args, args.task))
     os.makedirs(args.out, exist_ok=True)
 
-    rel_extra = {"on_unknown": args.on_unknown or "skip"} if args.task == "rel" else {}
     runtimes = {spec: _load_runtime(args.data, spec) for spec in sorted({c[0] for c in cells})}
     for spec, params in cells:
         name = _cell_name(spec, params)
@@ -286,11 +276,10 @@ def cmd_sweep(args) -> int:
             print(f"{name}: skipped")
             continue
         nodes, graph, store = runtimes[spec]
-        config = _run_config(args.task, args.system, spec, params, args.dataset, args.data,
-                             **rel_extra)
         report, _ = eval_mod.run_eval(
             args.task, args.system, [args.dataset], graph=graph, store=store,
-            nodes=nodes, params=params, config=config, workers=args.workers, **rel_extra)
+            nodes=nodes, params=params, config={"graph_spec": spec, "data": args.data},
+            workers=args.workers, on_unknown=args.on_unknown or "skip")
         if report is None:
             raise DataError(f"cannot write a report: {NO_GOLD[args.task]}")
         report.write(os.path.join(args.out, name + ".json"))
@@ -329,14 +318,13 @@ def _add_common_run_args(p):
     walk.add_argument("--spec", help=f"graph spec (default {DEFAULT_SPEC})")
     walk.add_argument("--alpha", type=float, help="link-follow probability")
     walk.add_argument("--iterations", "--iters", type=int, dest="iterations")
-    walk.add_argument("--k", type=lambda raw: _coerce("k", raw),
-                      help="PPV truncation rank, or 'none'")
     walk.add_argument("--no-prior", action="store_const", const=False, dest="prior",
                       help="uniform teleport initialization instead of priors")
     p.add_argument("--sqlite-dict", action="store_true",
                    help="serve the dictionary from dict.sqlite if present")
     p.add_argument("--workers", type=_worker_count,
                    help="walk threads (default: every core)")
+    return walk
 
 
 def build_parser() -> _Parser:
@@ -360,7 +348,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("rel", help="score relatedness pairs")
-    _add_common_run_args(p)
+    _add_common_run_args(p).add_argument("--k", type=lambda raw: _coerce("k", raw),
+                                         help="PPV truncation rank, or 'none'")
     p.add_argument("--pairs", required=True, dest="dataset",
                    help="term1 \\t term2 [\\t gold] file")
     p.add_argument("--out", required=True, help="prediction TSV to write")
@@ -406,7 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graphs", help="comma list of graph specs")
     p.add_argument("--alphas", help="comma list of damping factors")
     p.add_argument("--iters", help="comma list of iteration counts")
-    p.add_argument("--ks", help="comma list of truncation ranks ('none' allowed)")
+    p.add_argument("--ks", help="rel only: comma list of truncation ranks ('none' allowed)")
     p.add_argument("--priors", help="comma list of P/noP (or true/false)")
     p.add_argument("--workers", type=_worker_count,
                    help="walk threads (default: every core)")

@@ -75,8 +75,8 @@ class Dictionary:
     """
 
     def __init__(self, entries: Mapping[str, DictEntry]):
-        """Pack ``entries`` by sorted mention. A ValueError, with ``load``'s
-        message, when ``load`` would reject the packed bytes."""
+        """Pack ``entries`` by sorted mention. A ValueError when ``_pack``
+        or, with ``load``'s message, ``load`` would reject them."""
         self._index(_pack((m, entries[m].candidates) for m in sorted(entries)))
 
     def _index(self, data: bytes) -> None:
@@ -183,20 +183,23 @@ class Dictionary:
     def build(cls, counts_path: str, n_nodes: int | None = None) -> "Dictionary":
         """Load a ``dict_counts.tsv`` file (mention, article_id, count).
 
-        A negative count is a DataError; a zero count adds nothing."""
+        A negative id or count (or id >= ``n_nodes``) is a DataError; zero counts add nothing."""
         counts: dict[str, dict[int, int]] = {}
         for lineno, cols in read_tsv(counts_path, 3, 3):
             try:
                 article, count = int(cols[1]), int(cols[2])
             except ValueError:
                 raise DataError(f"{counts_path}:{lineno}: bad integer") from None
-            if n_nodes is not None and not 0 <= article < n_nodes:
+            if article < 0 or n_nodes is not None and article >= n_nodes:
                 raise DataError(f"{counts_path}:{lineno}: unknown article id {article}")
             if count < 0:
                 raise DataError(f"{counts_path}:{lineno}: negative count {count}")
             slot = counts.setdefault(cols[0], {})
             slot[article] = slot.get(article, 0) + count
-        return cls.from_counts(counts)
+        try:
+            return cls.from_counts(counts)
+        except ValueError as exc:
+            raise DataError(f"{counts_path}: {exc}") from None
 
     def save(self, path: str) -> None:
         """Write the snapshot bytes."""
@@ -286,15 +289,18 @@ def _pack(rows) -> bytes:
     """GWDICT1 snapshot bytes of ``(mention, triples)`` rows in sorted mention
     order, each triple an (article, count, prior): the header, then per
     entry its string offset, length and triple count, the string table and
-    the triples."""
+    the triples. A ValueError for an id or count its u32 and u64 cannot hold."""
     strtab, offsets, triples, max_len = bytearray(), bytearray(), bytearray(), 0
-    for m, cands in rows:
-        mb = m.encode("utf-8")
-        offsets += _OFFSET.pack(len(strtab), len(mb), len(cands))
-        strtab += mb
-        for t in cands:
-            triples += _TRIPLE.pack(*t)
-        max_len = max(max_len, len(m.split()))
+    try:
+        for m, cands in rows:
+            mb = m.encode("utf-8")
+            offsets += _OFFSET.pack(len(strtab), len(mb), len(cands))
+            strtab += mb
+            for t in cands:
+                triples += _TRIPLE.pack(*t)
+            max_len = max(max_len, len(m.split()))
+    except struct.error:
+        raise ValueError("an article id or count is out of GWDICT1's u32/u64 range") from None
     header = _HEADER.pack(len(offsets) // _OFFSET.size, max_len, len(strtab),
                           len(triples) // _TRIPLE.size)
     return b"".join((_MAGIC, header, offsets, strtab, triples))

@@ -23,6 +23,7 @@ from .tsv import read_tsv
 DEFAULT_RESAMPLES = 10_000
 MIN_RESAMPLES = 1000
 SIGNIFICANCE_LEVEL = 0.05
+DEFAULT_PARAMS = {"rel": PprParams(), "ned": ned_mod.DEFAULT_NED_PARAMS}  # walks given no params
 
 
 def spearman(gold, pred) -> float:
@@ -273,6 +274,24 @@ def ned_report(name: str, gold, titles_by_id: dict[str, str],
     return report
 
 
+def load_gold(task: str, dataset_paths: list[str]) -> list:
+    """The pooled gold of ``dataset_paths``: relatedness pairs or NED queries."""
+    if task == "rel":
+        return [p for path in dataset_paths for p in load_relatedness_pairs(path)]
+    if task == "ned":
+        return [q for path in dataset_paths for q in ned_mod.load_queries(path)]
+    raise ValueError(f"unknown task {task!r}")
+
+
+def score(task: str, name: str, gold: list, predicted: dict, baseline_paths, config: dict,
+          redirects=None, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> EvalReport:
+    """``rel_report`` or ``ned_report`` of ``predicted`` against ``load_gold``'s ``gold``."""
+    if task == "rel":
+        return rel_report(name, gold, predicted, baseline_paths or [], config)
+    return ned_report(name, [(q.query_id, q.gold_title) for q in gold], predicted,
+                      baseline_paths or [], config, redirects, resamples, seed)
+
+
 def run_eval(task: str, system: str, dataset_paths: list[str], *,
              graph: TypedGraph, store, nodes: NodeTable,
              params: PprParams | None = None, config: dict | None = None,
@@ -284,48 +303,44 @@ def run_eval(task: str, system: str, dataset_paths: list[str], *,
     """Run one system over one or more datasets (pooled) and score it.
 
     Returns (EvalReport, predictions), the report None when no instance has
-    gold. Multiple dataset paths are concatenated before the metric and the
-    significance test, so pooled comparisons use a single test over all
-    instances. Without ``params`` each task walks with its own defaults, on
-    ``workers`` threads (None: every core). With ``out`` the predictions are
-    written there as TSV before scoring, so a scoring error still leaves
-    them. The extras count skipped pairs, or NED fallbacks and NIL answers.
+    gold; pooled datasets get one metric and one significance test. The walk
+    uses ``params``, else ``DEFAULT_PARAMS[task]``, on ``workers`` threads
+    (None: every core). The report's config records the run (task, system,
+    walk values, dataset, and ``on_unknown`` or ``include_target``) over the
+    caller's labels in ``config``. With ``out`` the predictions are written
+    there as TSV before scoring, so a scoring error still leaves them. The
+    extras count skipped pairs, or NED fallbacks and NIL answers.
     """
+    gold = load_gold(task, dataset_paths)
+    params = params or DEFAULT_PARAMS[task]
     name = "+".join(dataset_paths)
-    config = dict(config or {})
-    config.setdefault("system", system)
-    config.setdefault("task", task)
-    baselines = baseline_paths or []
+    config = {**(config or {}), **asdict(params), "task": task, "system": system,
+              "dataset": name}
 
     if task == "rel":
-        pairs = [p for path in dataset_paths for p in load_relatedness_pairs(path)]
-        rows = rel_mod.score_pairs(pairs, graph, store, params, system, on_unknown, workers)
+        config["on_unknown"] = on_unknown
+        preds = rel_mod.score_pairs(gold, graph, store, params, system, on_unknown, workers)
         if out:
-            rel_mod.write_predictions(rows, out)
-        if all(gold is None for _, _, gold in pairs):
-            return None, rows
-        scores = {(t1, t2): s for t1, t2, _, s in rows if s is not None}
-        report = rel_report(name, pairs, scores, baselines, config)
-        report.extras["skipped_pairs"] = sum(1 for row in rows if row[3] is None)
-        return report, rows
-
-    if task != "ned":
-        raise ValueError(f"unknown task {task!r}")
-
-    queries = [q for path in dataset_paths for q in ned_mod.load_queries(path)]
-    preds = ned_mod.run_batch(queries, graph, store, params, system, workers,
-                              resolver=resolver, nodes=nodes, include_target=include_target)
-    if out:
-        ned_mod.write_predictions(preds, nodes, out)
-    if all(q.gold_title is None for q in queries):
-        return None, preds
-    titles = {p.query_id: p.title(nodes) for p in preds}
-    report = ned_report(name, [(q.query_id, q.gold_title) for q in queries], titles,
-                        baselines, config, redirects, resamples, seed)
-    fallback = sum(1 for p in preds if p.fallback_used)
-    report.extras["fallback_count"] = fallback
-    report.extras["fallback_rate"] = fallback / len(preds)
-    report.extras["nil_predictions"] = sum(1 for p in preds if p.predicted is None)
+            rel_mod.write_predictions(preds, out)
+        if all(g is None for _, _, g in gold):
+            return None, preds
+        predicted = {(t1, t2): s for t1, t2, _, s in preds if s is not None}
+        extras = {"skipped_pairs": sum(1 for row in preds if row[3] is None)}
+    else:
+        config["include_target"] = include_target
+        preds = ned_mod.run_batch(gold, graph, store, params, system, workers, resolver,
+                                  nodes, include_target)
+        if out:
+            ned_mod.write_predictions(preds, nodes, out)
+        if all(q.gold_title is None for q in gold):
+            return None, preds
+        predicted = {p.query_id: p.title(nodes) for p in preds}
+        fallback = sum(1 for p in preds if p.fallback_used)
+        extras = {"fallback_count": fallback, "fallback_rate": fallback / len(preds),
+                  "nil_predictions": sum(1 for p in preds if p.predicted is None)}
+    report = score(task, name, gold, predicted, baseline_paths, config, redirects,
+                   resamples, seed)
+    report.extras.update(extras)
     return report, preds
 
 
@@ -336,19 +351,8 @@ def compare_prediction_files(task: str, dataset_paths: list[str],
                              resamples: int = DEFAULT_RESAMPLES,
                              seed: int = 0) -> EvalReport:
     """Score already-emitted predictions against gold, pooling datasets."""
-    name = "+".join(dataset_paths)
-    config = {"task": task}
-    baselines = baseline_paths or []
-
-    if task == "rel":
-        pairs = [p for path in dataset_paths for p in load_relatedness_pairs(path)]
-        scores = {k: v for path in pred_paths for k, v in load_rel_predictions(path).items()}
-        return rel_report(name, pairs, scores, baselines, config)
-
-    if task != "ned":
-        raise ValueError(f"unknown task {task!r}")
-
-    queries = [q for path in dataset_paths for q in ned_mod.load_queries(path)]
-    titles = {k: v for path in pred_paths for k, v in load_ned_predictions(path).items()}
-    return ned_report(name, [(q.query_id, q.gold_title) for q in queries], titles,
-                      baselines, config, redirects, resamples, seed)
+    gold = load_gold(task, dataset_paths)
+    read = load_rel_predictions if task == "rel" else load_ned_predictions
+    predicted = {k: v for path in pred_paths for k, v in read(path).items()}
+    return score(task, "+".join(dataset_paths), gold, predicted, baseline_paths,
+                 {"task": task}, redirects, resamples, seed)

@@ -61,10 +61,12 @@ def test_build_is_deterministic(workspace, tmp_path):
         assert (workspace["data"] / name).read_bytes() == (other / name).read_bytes()
 
 
-# sha256 of the files `build` writes for the workspace and of the ppr
-# predictions of `rel` and `ned --workers 1` on it (recorded at commit
-# 4e9fd21). A change meant to keep outputs byte-identical must reproduce
-# them; one that alters an output on purpose records its new digest here
+# sha256 of the files `build` writes for the workspace, of the predictions
+# of `rel` and of `ned --workers 1` for each system, and of the reports of
+# those runs, of one rel sweep cell and of `eval` for each task (build files
+# and ppr predictions recorded at commit 4e9fd21, the rest at c7c1170). A
+# change meant to keep outputs byte-identical must reproduce them; one that
+# alters an output on purpose records its new digest here
 GOLDEN_DIGESTS = {
     "nodes.tsv": "63dc0917f9d1b4691acf02ccfc9d73ecb61d3adc167831c13ef6a17737180cbd",
     "graph.Hr.gwkb": "f8b1ca5e1cf84eb416b276301ef22b359c04d0622c12bc749301cae15481348a",
@@ -73,7 +75,40 @@ GOLDEN_DIGESTS = {
     "dict.sqlite rows": "4c838780022b27630eb1d2fa1dc47a977901f7f1a1edaa8f67b996dacd35a2eb",
     "rel.tsv": "eb0e44d89a706e221213905520c842a1d1a764ab47f976232ab9ed6d10b163c1",
     "ned.tsv": "0e46491b0a173a00bbee142757f714ec0f18b5e35aff2d78977405917d66ba2f",
+    "ned.ngd.tsv": "057eeeb140dd98132e072763d543f0b7ad62e219e97fbc18cca5507c4e3346b5",
+    "ned.mfs.tsv": "d44ce4aa5b6238ea602f0577b5c229fb65803ef6469b6189042f5059aa564ba6",
+    "rel.json": "e0f5edbfb4f77c728431069005dd3e2c770cc3418c22cf4417271c6b32d573ca",
+    "ned.json": "cb1ab4fe026cca3090edc4be0344ebfa8137989ee9ed4c34e3e6d9f8fff75908",
+    "ned.ngd.json": "27d6dcd3682d20aa660d515fe32e970b67471e100fc43b62a1ed1b776a524992",
+    "ned.mfs.json": "5ea983e4fd32f983ee2bfbcaf09d50ff1aa336572f181897ca3e671b6c06f8a7",
+    "sweep/Hr_a0.85_i30_k5000_P.json":
+        "c581b8ebfdef6ac36f78650a4ac5afe09b52d779f2aa1aeb538f56d5a518a445",
+    "sweep/summary.csv": "322e02dbaf234dbbb2e71e19a4ef19266faebcbdb11a12db061d5cdbbeaf53e8",
+    "eval.rel.json": "0918221c560eebf6cdc3bdb7fa16d9086bb3921d563b64b1686e9e0a3e05ab94",
+    "eval.ned.json": "7b7eb00f40039781fad5c85377cd68572941c26371926724dac8b6c9c9f5bb68",
 }
+
+# every run reads the workspace through relative paths, from a copy of it,
+# so that no tmp path enters the reports (they record dataset, data and
+# baseline paths)
+DIGEST_RUNS = [
+    ["rel", "--data", "data", "--pairs", "pairs.tsv", "--system", "ngd",
+     "--out", "rel.ngd.tsv"],
+    ["rel", "--data", "data", "--pairs", "pairs.tsv", "--out", "rel.tsv",
+     "--report", "rel.json", "--baseline", "rel.ngd.tsv", "--workers", "1"],
+    *(["ned", "--data", "data", "--queries", "queries.tsv", "--system", system,
+       "--out", name + ".tsv", "--report", name + ".json", "--workers", "1"]
+      for system, name in (("ppr", "ned"), ("ngd", "ned.ngd"), ("mfs", "ned.mfs"))),
+    ["sweep", "--data", "data", "--task", "rel", "--dataset", "pairs.tsv",
+     "--out", "sweep", "--workers", "1"],
+    ["eval", "--task", "rel", "--dataset", "pairs.tsv", "--preds", "rel.tsv",
+     "--baseline", "rel.ngd.tsv", "--report", "eval.rel.json"],
+    ["eval", "--task", "ned", "--dataset", "queries.tsv", "--preds", "ned.tsv",
+     "--baseline", "ned.mfs.tsv", "--report", "eval.ned.json"],
+]
+RUN_OUTPUTS = ["rel.tsv", "ned.tsv", "ned.ngd.tsv", "ned.mfs.tsv", "rel.json", "ned.json",
+               "ned.ngd.json", "ned.mfs.json", "sweep/Hr_a0.85_i30_k5000_P.json",
+               "sweep/summary.csv", "eval.rel.json", "eval.ned.json"]
 
 
 def _sqlite_rows_digest(path) -> str:
@@ -88,16 +123,17 @@ def _sqlite_rows_digest(path) -> str:
     return h.hexdigest()
 
 
-def test_workspace_outputs_match_the_recorded_digests(workspace, tmp_path):
+def test_workspace_outputs_match_the_recorded_digests(workspace, tmp_path, monkeypatch):
     data = workspace["data"]
-    assert main(["rel", "--data", str(data), "--pairs", str(workspace["pairs"]),
-                 "--out", str(tmp_path / "rel.tsv"), "--workers", "1"]) == 0
-    assert main(["ned", "--data", str(data), "--queries", str(workspace["queries"]),
-                 "--system", "ppr", "--out", str(tmp_path / "ned.tsv"),
-                 "--workers", "1"]) == 0
+    shutil.copytree(data, tmp_path / "data")
+    for name in ("pairs.tsv", "queries.tsv", "doc.txt"):
+        shutil.copyfile(workspace["root"] / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    for argv in DIGEST_RUNS:
+        assert main(argv) == 0
     files = {name: data / name
              for name in ("nodes.tsv", "graph.Hr.gwkb", "graph.Hu.gwkb", "dict.gwdict")}
-    files.update({"rel.tsv": tmp_path / "rel.tsv", "ned.tsv": tmp_path / "ned.tsv"})
+    files.update((name, tmp_path / name) for name in RUN_OUTPUTS)
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in files.items()}
     digests["dict.sqlite rows"] = _sqlite_rows_digest(data / "dict.sqlite")
@@ -492,12 +528,7 @@ def test_a_sweep_cell_reports_what_rel_and_ned_report(workspace, tmp_path):
         assert main(["sweep", "--data", data, "--task", task, "--dataset", dataset,
                      "--out", str(out)]) == 0
         (cell_report,) = out.glob("*.json")
-        if task == "rel":
-            assert cell_report.read_bytes() == run_report.read_bytes()
-        else:
-            run = json.loads(run_report.read_text())
-            assert run["config"].pop("include_target") is True
-            assert json.loads(cell_report.read_text()) == run
+        assert cell_report.read_bytes() == run_report.read_bytes()
 
 
 @pytest.mark.parametrize("blob", ['{"metric": "spear', '[1, 2]', '{"metric": "accuracy"}',
@@ -681,15 +712,19 @@ def test_scoring_errors_are_data_errors(workspace, tmp_path, capsys, scores,
     ("sweep", ["--priors", "P,maybe"], None, 1, "bad sweep value in 'P,maybe' for prior"),
     ("rel", [], "alpha=1.5\n", 2, "run.cfg:1: alpha must be in (0,1), got 1.5"),
     ("ned", [], "# walk\niterations=-1\n", 2, "run.cfg:2: iterations must be >= 0"),
-    ("sweep", [], "k=5\nk=0\n", 2, "run.cfg:2: k must be >= 1 or None"),
+    ("rel", [], "k=5\nk=0\n", 2, "run.cfg:2: k must be >= 1 or None"),
     ("rel", ["--workers", "0"], None, 1, "argument --workers: must be an integer >= 1, got '0'"),
     ("ned", ["--workers", "-3"], None, 1, "argument --workers: must be an integer >= 1, got '-3'"),
     ("sweep", ["--workers", "x"], None, 1, "argument --workers: must be an integer >= 1, got 'x'"),
+    ("ned", ["--k", "10"], None, 1, "unrecognized arguments: --k 10"),
+    ("ned", [], "# walk\nk=10\n", 2, "run.cfg:2: k applies to rel only"),
+    ("sweep", ["--ks", "10,100"], None, 1, "--ks applies to --task rel only"),
 ], ids=["alpha_flag", "negative_iterations", "sweep_alphas", "config_alpha",
         "config_prior", "sweep_system_for_task", "config_typo_key", "config_seed_key",
         "rel_seed", "ned_seed", "sweep_seed", "ned_sweep_on_unknown", "sweep_priors",
         "config_alpha_range", "config_iterations_range", "config_k_range",
-        "rel_zero_workers", "ned_negative_workers", "sweep_text_workers"])
+        "rel_zero_workers", "ned_negative_workers", "sweep_text_workers", "ned_k",
+        "ned_config_k", "ned_sweep_ks"])
 def test_bad_walk_parameters_stop_before_any_output(workspace, tmp_path, capsys, command,
                                                     flags, config, code, message):
     inputs = {"rel": ["--pairs", str(workspace["pairs"])],

@@ -272,6 +272,37 @@ def test_build_rejects_negative_counts_and_drops_zero_counts(tmp_path):
     assert d.get("bar") is None
 
 
+def _build_row(tmp_path, row: str) -> Dictionary:
+    path = tmp_path / "dict_counts.tsv"
+    path.write_text(f"mention\tarticle_id\tcount\n{row}\n", encoding="utf-8")
+    return Dictionary.build(str(path))
+
+
+_NO_ROOM = "an article id or count is out of GWDICT1's u32/u64 range"
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda tmp: Dictionary({"x": DictEntry("x", (Candidate(-1, 1, 1.0),))}),
+     ValueError, _NO_ROOM),
+    (lambda tmp: Dictionary({"x": DictEntry("x", (Candidate(2**32, 1, 1.0),))}),
+     ValueError, _NO_ROOM),
+    (lambda tmp: Dictionary({"x": DictEntry("x", (Candidate(1, -1, 1.0),))}),
+     ValueError, _NO_ROOM),
+    (lambda tmp: Dictionary.from_counts({"x": {-1: 1}}), ValueError, _NO_ROOM),
+    (lambda tmp: Dictionary.from_counts({"x": {1: 2**64}}), ValueError, _NO_ROOM),
+    (lambda tmp: _build_row(tmp, "x\t-1\t3"), DataError,
+     "dict_counts.tsv:2: unknown article id -1"),
+    (lambda tmp: _build_row(tmp, f"x\t{2**32}\t3"), DataError, f"dict_counts.tsv: {_NO_ROOM}"),
+    (lambda tmp: _build_row(tmp, f"x\t1\t{2**63}\nx\t1\t{2**63}"), DataError,
+     f"dict_counts.tsv: {_NO_ROOM}"),
+], ids=["entry_negative_id", "entry_id_2_32", "entry_negative_count",
+        "counts_negative_id", "counts_count_2_64", "build_negative_id", "build_id_2_32",
+        "build_merged_count_2_64"])
+def test_ids_and_counts_gwdict1_cannot_hold_are_named_errors(tmp_path, make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make(tmp_path)
+
+
 def test_load_rejects_entry_strings_that_do_not_tile_the_string_table(tmp_path):
     d = Dictionary.from_counts({"alpha": {0: 1}, "beta": {1: 1}})
     path = tmp_path / "dict.gwdict"

@@ -15,6 +15,7 @@ from graphwalk.evaluation import (AccuracyResult, EvalReport, accuracy,
 from graphwalk.graph import NodeTable
 from graphwalk.ingest import REDIRECT_DEPTH_CAP
 from graphwalk.ned import NedPrediction, load_queries, run_batch, write_predictions
+from graphwalk.ppr import PprParams
 
 from conftest import spearman_oracle
 
@@ -393,6 +394,73 @@ def test_run_eval_and_eval_score_a_rel_run_alike(lions, tmp_path):
     assert report.significance == again.significance
     assert report.significance[0]["baseline_value"] == pytest.approx(
         spearman([r[2] for r in rows], [0.9, 0.2, 0.5, 0.1, 0.3, 0.4]))
+
+
+def _lions_dataset(task: str, tmp_path, query) -> str:
+    """Four gold pairs, or nine walked, fallback and NIL queries."""
+    if task == "rel":
+        ds = tmp_path / "pairs.tsv"
+        ds.write_text("term1\tterm2\tgold\n"
+                      "alan kourie\tlions\t3.0\n"
+                      "cape town\tlions\t2.0\n"
+                      "fletcher\tcape town\t1.5\n"
+                      "alan kourie\tcape town\t0.5\n", encoding="utf-8")
+        return str(ds)
+    (tmp_path / "doc.txt").write_text(" ".join(query.context_tokens), encoding="utf-8")
+    (tmp_path / "bare.txt").write_text("nothing matches here", encoding="utf-8")
+    rows = ["query_id\tmention\tcontext_file\tchar_offset\tgold_title"]
+    rows += [f"q{i}\tLions\tdoc.txt\t\tHighveld_Lions" for i in range(6)]
+    rows += ["q6\tLions\tbare.txt\t\tB&I_Lions", "q7\tLions\tbare.txt\t\tHighveld_Lions",
+             "q8\tZzqx\tbare.txt\t\tNIL"]
+    ds = tmp_path / "queries.tsv"
+    ds.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(ds)
+
+
+@pytest.mark.parametrize("task, params, walk", [
+    ("rel", None, (0.85, 30, 5000, True)),
+    ("ned", None, (0.85, 15, None, True)),
+    ("rel", PprParams(alpha=0.7, iterations=5, k=10, prior_init=False), (0.7, 5, 10, False)),
+    ("ned", PprParams(alpha=0.7, iterations=5, k=None, prior_init=False), (0.7, 5, None, False)),
+], ids=["rel_defaults", "ned_defaults", "rel_params", "ned_params"])
+def test_a_library_run_eval_report_records_the_walk_it_ran(lions, tmp_path, task, params,
+                                                           walk):
+    graph, store, nodes, query = lions
+    ds = _lions_dataset(task, tmp_path, query)
+    # the caller's labels are kept, but a key the run derives wins over them
+    report, _ = run_eval(task, "ppr", [ds], graph=graph, store=store, nodes=nodes,
+                         params=params, config={"graph_spec": "Hr", "alpha": 0.1,
+                                                "task": "other"})
+    alpha, iterations, k, prior = walk
+    own = {"on_unknown": "skip"} if task == "rel" else {"include_target": True}
+    assert report.config == {"graph_spec": "Hr", "task": task, "system": "ppr",
+                             "alpha": alpha, "iterations": iterations, "k": k,
+                             "prior_init": prior, "dataset": ds, **own}
+
+
+@pytest.mark.parametrize("task, header", [("rel", "term1\tterm2\tgold"),
+                                          ("ned", "query_id\tmention\tcontext_file")])
+def test_run_eval_over_a_dataset_without_rows_returns_no_report(lions, tmp_path, task,
+                                                                header):
+    graph, store, nodes, _ = lions
+    ds = tmp_path / "empty.tsv"
+    ds.write_text(header + "\n", encoding="utf-8")
+    assert run_eval(task, "ppr", [str(ds)], graph=graph, store=store,
+                    nodes=nodes) == (None, [])
+
+
+def test_run_eval_and_eval_score_a_ned_run_alike(lions, tmp_path):
+    graph, store, nodes, query = lions
+    ds = _lions_dataset("ned", tmp_path, query)
+    base, preds = str(tmp_path / "mfs.tsv"), str(tmp_path / "ppr.tsv")
+    run_eval("ned", "mfs", [ds], graph=graph, store=store, nodes=nodes, out=base)
+    report, _ = run_eval("ned", "ppr", [ds], graph=graph, store=store, nodes=nodes,
+                         baseline_paths=[base], resamples=1000, seed=3, out=preds)
+    again = compare_prediction_files("ned", [ds], [preds], [base], resamples=1000, seed=3)
+    assert report.n == again.n == 8
+    assert report.value == again.value == 7 / 8
+    assert report.significance == again.significance
+    assert report.significance[0]["baseline_value"] == 1 / 8
 
 
 def test_pooled_datasets_with_repeated_query_ids_are_rejected(lions, tmp_path):
