@@ -138,15 +138,12 @@ def _load_runtime(data_dir: str, spec: str, sqlite_dict: bool = False):
     graph = graph_mod.load_snapshot(graph_path)
     if graph.n_nodes != len(nodes):
         raise DataError("graph snapshot does not match nodes.tsv")
-    sqlite_path = os.path.join(data_dir, "dict.sqlite")
-    if sqlite_dict and os.path.exists(sqlite_path):
-        store = dict_mod.SqliteDictionary(sqlite_path, graph.n_nodes)
-    else:
-        dict_path = os.path.join(data_dir, "dict.gwdict")
-        if not os.path.exists(dict_path):
-            raise DataError(f"missing dictionary snapshot {dict_path}; run 'graphwalk build' first")
-        store = dict_mod.Dictionary.load(dict_path, graph.n_nodes)
-    return nodes, graph, store
+    dict_path = os.path.join(data_dir, "dict.sqlite" if sqlite_dict else "dict.gwdict")
+    if not os.path.exists(dict_path):
+        kind, flag = ("database", " --sqlite-dict") if sqlite_dict else ("snapshot", "")
+        raise DataError(f"missing dictionary {kind} {dict_path}; run 'graphwalk build{flag}' first")
+    open_store = dict_mod.SqliteDictionary if sqlite_dict else dict_mod.Dictionary.load
+    return nodes, graph, open_store(dict_path, graph.n_nodes)
 
 
 def cmd_ingest(args) -> int:
@@ -217,14 +214,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.resamples < eval_mod.MIN_RESAMPLES:
+    for flag in ("--redirects", "--resamples", "--seed"):  # None: not given
+        if args.task == "rel" and getattr(args, flag[2:]) is not None:
+            raise UsageError(f"{flag} applies to --task ned only")
+    if args.resamples is not None and args.resamples < eval_mod.MIN_RESAMPLES:
         raise UsageError(f"--resamples must be >= {eval_mod.MIN_RESAMPLES}")
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         raise UsageError("--seed must be >= 0")
     redirects = eval_mod.load_redirect_map(args.redirects) if args.redirects else None
+    given = {k: v for k, v in (("resamples", args.resamples), ("seed", args.seed))
+             if v is not None}
     report = eval_mod.compare_prediction_files(
         args.task, args.dataset, args.preds, args.baseline or None,
-        redirects=redirects, resamples=args.resamples, seed=args.seed)
+        redirects=redirects, **given)
     print(f"{report.metric} {report.value:.4f} on n={report.n}")
     for sig in report.significance:
         marker = "significant" if sig["significant"] else "not significant"
@@ -321,7 +323,7 @@ def _add_common_run_args(p):
     walk.add_argument("--no-prior", action="store_const", const=False, dest="prior",
                       help="uniform teleport initialization instead of priors")
     p.add_argument("--sqlite-dict", action="store_true",
-                   help="serve the dictionary from dict.sqlite if present")
+                   help="serve the dictionary from dict.sqlite")
     p.add_argument("--workers", type=_worker_count,
                    help="walk threads (default: every core)")
     return walk
@@ -379,9 +381,9 @@ def build_parser() -> _Parser:
                    help="gold dataset file (repeat to pool)")
     p.add_argument("--preds", action="append", required=True)
     p.add_argument("--baseline", action="append")
-    p.add_argument("--redirects")
-    p.add_argument("--resamples", type=int, default=eval_mod.DEFAULT_RESAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--redirects", help="ned only: old_title \\t new_title mapping TSV")
+    p.add_argument("--resamples", type=int, help=f"ned only (default {eval_mod.DEFAULT_RESAMPLES})")
+    p.add_argument("--seed", type=int, help="ned only: bootstrap seed (default 0)")
     p.add_argument("--report")
     p.set_defaults(func=cmd_eval)
 

@@ -228,34 +228,43 @@ class SqliteDictionary:
     """Dictionary served from a sqlite file without loading it into memory.
 
     Read-only and safe for concurrent readers (one connection per thread).
-    With ``n_nodes`` given, a row naming a candidate article id >= ``n_nodes``
-    is a DataError when it is read.
+    A sqlite error or a missing or non-integer ``max_token_len`` is a
+    DataError naming the file, and so is a row read that is not a nonzero u32
+    candidate count then that many triples or, with ``n_nodes`` given, that
+    names a candidate article id >= ``n_nodes``.
     """
 
     def __init__(self, path: str, n_nodes: int | None = None):
         self._path = path
         self._n_nodes = n_nodes
         self._local = threading.local()
-        row = self._conn().execute(
-            "SELECT value FROM meta WHERE key='max_token_len'").fetchone()
-        if row is None:
-            raise DataError(f"{path}: not a dictionary database")
-        self.max_token_len = int(row[0])
+        row = self._row("SELECT value FROM meta WHERE key='max_token_len'", ())
+        try:
+            self.max_token_len = int(str(row[0]))
+        except (TypeError, ValueError):  # no row, or not an integer
+            raise DataError(f"{path}: not a dictionary database: bad max_token_len") from None
 
-    def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = sqlite3.connect(f"file:{self._path}?mode=ro", uri=True)
-            self._local.conn = conn
-        return conn
+    def _row(self, sql: str, args: tuple):
+        """The first row of ``sql`` on this thread's connection, or None."""
+        try:
+            conn = getattr(self._local, "conn", None)
+            if conn is None:
+                conn = self._local.conn = sqlite3.connect(f"file:{self._path}?mode=ro", uri=True)
+            return conn.execute(sql, args).fetchone()
+        except sqlite3.DatabaseError as exc:
+            raise DataError(f"{self._path}: {exc}") from None
 
     def get(self, mention: str):
-        row = self._conn().execute(
-            "SELECT candidates FROM entries WHERE mention=?", (mention,)).fetchone()
+        row = self._row("SELECT candidates FROM entries WHERE mention=?", (mention,))
         if row is None:
             return None
-        cands = _candidates(row[0][_COUNT.size:])
-        if self._n_nodes is not None and cands:
+        blob = row[0] if isinstance(row[0], bytes) else b""
+        count = _COUNT.unpack_from(blob)[0] if len(blob) >= _COUNT.size else 0
+        if count == 0 or len(blob) != _COUNT.size + count * _TRIPLE.size:
+            raise DataError(f"{self._path}: entry {mention!r}: candidates are not a nonzero "
+                            f"u32 count then that many triples")
+        cands = _candidates(blob[_COUNT.size:])
+        if self._n_nodes is not None:
             _check_articles(self._path, max(c.article for c in cands), self._n_nodes)
         return DictEntry(mention, cands)
 

@@ -167,12 +167,7 @@ def load_redirect_map(path: str) -> dict[str, str]:
 
 def load_rel_predictions(path: str) -> dict[tuple[str, str], float]:
     """Scores from an emitted relatedness prediction file, keyed by pair."""
-    out: dict[tuple[str, str], float] = {}
-    for lineno, cols in read_tsv(path, 4, None):
-        if cols[3] == "NA":
-            continue
-        out[(cols[0], cols[1])] = _finite(cols[3], f"{path}:{lineno}: bad score")
-    return out
+    return _pooled_predictions("rel", [path])
 
 
 def _finite(raw: str, where: str) -> float:
@@ -188,7 +183,26 @@ def _finite(raw: str, where: str) -> float:
 
 def load_ned_predictions(path: str) -> dict[str, str]:
     """Predicted titles from an emitted NED prediction file, keyed by query id."""
-    return {cols[0]: cols[1] for _, cols in read_tsv(path, 2, None)}
+    return _pooled_predictions("ned", [path])
+
+
+def _pooled_predictions(task: str, paths: list[str]) -> dict:
+    """The predictions of ``paths``: titles by query id (ned) or scores by pair
+    (rel; rows scored NA are skipped). A query id given twice, or a pair given
+    two different scores (a pairs file may repeat a pair), is a DataError at its line."""
+    out: dict = {}
+    for path in paths:
+        if task == "ned":
+            rows = ((lineno, cols[0], cols[1]) for lineno, cols in read_tsv(path, 2, None))
+        else:
+            rows = ((lineno, (cols[0], cols[1]), _finite(cols[3], f"{path}:{lineno}: bad score"))
+                    for lineno, cols in read_tsv(path, 4, None) if cols[3] != "NA")
+        for lineno, key, value in rows:
+            if key in out and (task == "ned" or out[key] != value):
+                raise DataError(f"{path}:{lineno}: " + (f"query id {key!r} is predicted twice"
+                                if task == "ned" else f"pair {key} has two different scores"))
+            out[key] = value
+    return out
 
 
 @dataclass
@@ -201,12 +215,9 @@ class EvalReport:
     significance: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -221,59 +232,6 @@ def _spearman_over_scored(pairs, scores, source: str) -> tuple[float, int]:
     return value, len(joint)
 
 
-def rel_report(name: str, pairs, scores_by_pair: dict[tuple[str, str], float],
-               baselines: list[str], config: dict) -> EvalReport:
-    """Spearman of scored pairs against gold, Fisher z against each baseline.
-
-    Every system, baselines included, is correlated over the gold pairs it
-    scored; the test needs at least 4 such pairs on each side.
-    """
-    value, n = _spearman_over_scored(pairs, scores_by_pair, "predictions")
-    report = EvalReport(name, "spearman", value, n, config)
-    for base in baselines:
-        base_value, base_n = _spearman_over_scored(
-            pairs, load_rel_predictions(base), f"baseline {base}")
-        if min(n, base_n) < 4:
-            raise DataError(f"baseline {base}: the fisher z test needs 4 scored "
-                            f"gold pairs on each side, got {n} and {base_n}")
-        p = fisher_z_test(value, base_value, n, base_n)
-        report.significance.append({
-            "baseline": base, "baseline_value": base_value, "p_value": p,
-            "significant": p < SIGNIFICANCE_LEVEL,
-            "test": "fisher-z-two-sided",
-        })
-    return report
-
-
-def ned_report(name: str, gold, titles_by_id: dict[str, str],
-               baselines: list[str], config: dict,
-               redirects: dict[str, str] | None = None,
-               resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> EvalReport:
-    """Non-NIL accuracy of predicted titles, paired bootstrap per baseline.
-
-    ``gold`` holds (query_id, gold_title) pairs in dataset order. Outcomes
-    are taken per query with a knowledge-base gold entity; predicted titles
-    are redirect-mapped before comparison.
-    """
-    if len({query_id for query_id, _ in gold}) != len(gold):
-        raise DataError("query ids repeat across the pooled datasets")
-    vmap = _version_map(redirects)
-    ours = _outcomes(gold, titles_by_id, vmap, "predictions")
-    report = EvalReport(name, "accuracy", sum(ours) / len(ours), len(ours), config)
-    for base in baselines:
-        theirs = _outcomes(gold, load_ned_predictions(base), vmap, f"baseline {base}")
-        p_val = paired_bootstrap(ours, theirs, resamples, seed)
-        report.significance.append({
-            "baseline": base,
-            "baseline_value": sum(theirs) / len(theirs),
-            "p_value": p_val,
-            "significant": p_val < SIGNIFICANCE_LEVEL,
-            "test": "paired-bootstrap-one-sided",
-            "resamples": resamples, "seed": seed,
-        })
-    return report
-
-
 def load_gold(task: str, dataset_paths: list[str]) -> list:
     """The pooled gold of ``dataset_paths``: relatedness pairs or NED queries."""
     if task == "rel":
@@ -285,18 +243,47 @@ def load_gold(task: str, dataset_paths: list[str]) -> list:
 
 def score(task: str, name: str, gold: list, predicted: dict, baseline_paths, config: dict,
           redirects=None, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> EvalReport:
-    """``rel_report`` or ``ned_report`` of ``predicted`` against ``load_gold``'s ``gold``."""
+    """The report of ``predicted`` against ``load_gold``'s ``gold``, with the
+    task's significance test against each baseline prediction file.
+
+    rel: Spearman over the gold pairs each system scored, and a two-sided
+    Fisher z test, which needs 4 such pairs on each side. ned: non-NIL accuracy
+    of the redirect-mapped titles over the queries with a knowledge-base gold
+    entity, and a one-sided paired bootstrap."""
     if task == "rel":
-        return rel_report(name, gold, predicted, baseline_paths or [], config)
-    return ned_report(name, [(q.query_id, q.gold_title) for q in gold], predicted,
-                      baseline_paths or [], config, redirects, resamples, seed)
+        value, n = _spearman_over_scored(gold, predicted, "predictions")
+        test, settings = "fisher-z-two-sided", {}
+    else:
+        queries = [(q.query_id, q.gold_title) for q in gold]
+        if len({query_id for query_id, _ in queries}) != len(queries):
+            raise DataError("query ids repeat across the pooled datasets")
+        vmap = _version_map(redirects)
+        ours = _outcomes(queries, predicted, vmap, "predictions")
+        value, n = sum(ours) / len(ours), len(ours)
+        test, settings = "paired-bootstrap-one-sided", {"resamples": resamples, "seed": seed}
+    report = EvalReport(name, "spearman" if task == "rel" else "accuracy", value, n, config)
+    for base in baseline_paths or []:
+        if task == "rel":
+            base_value, base_n = _spearman_over_scored(
+                gold, load_rel_predictions(base), f"baseline {base}")
+            if min(n, base_n) < 4:
+                raise DataError(f"baseline {base}: the fisher z test needs 4 scored "
+                                f"gold pairs on each side, got {n} and {base_n}")
+            p_value = fisher_z_test(value, base_value, n, base_n)
+        else:
+            theirs = _outcomes(queries, load_ned_predictions(base), vmap, f"baseline {base}")
+            base_value = sum(theirs) / len(theirs)
+            p_value = paired_bootstrap(ours, theirs, resamples, seed)
+        report.significance.append({
+            "baseline": base, "baseline_value": base_value, "p_value": p_value,
+            "significant": p_value < SIGNIFICANCE_LEVEL, "test": test, **settings})
+    return report
 
 
 def run_eval(task: str, system: str, dataset_paths: list[str], *,
              graph: TypedGraph, store, nodes: NodeTable,
              params: PprParams | None = None, config: dict | None = None,
              baseline_paths: list[str] | None = None,
-             resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
              on_unknown: str = "skip", workers: int | None = None,
              redirects: dict[str, str] | None = None, resolver=None,
              include_target: bool = True, out: str | None = None):
@@ -338,8 +325,7 @@ def run_eval(task: str, system: str, dataset_paths: list[str], *,
         fallback = sum(1 for p in preds if p.fallback_used)
         extras = {"fallback_count": fallback, "fallback_rate": fallback / len(preds),
                   "nil_predictions": sum(1 for p in preds if p.predicted is None)}
-    report = score(task, name, gold, predicted, baseline_paths, config, redirects,
-                   resamples, seed)
+    report = score(task, name, gold, predicted, baseline_paths, config, redirects)
     report.extras.update(extras)
     return report, preds
 
@@ -352,7 +338,6 @@ def compare_prediction_files(task: str, dataset_paths: list[str],
                              seed: int = 0) -> EvalReport:
     """Score already-emitted predictions against gold, pooling datasets."""
     gold = load_gold(task, dataset_paths)
-    read = load_rel_predictions if task == "rel" else load_ned_predictions
-    predicted = {k: v for path in pred_paths for k, v in read(path).items()}
+    predicted = _pooled_predictions(task, pred_paths)
     return score(task, "+".join(dataset_paths), gold, predicted, baseline_paths,
                  {"task": task}, redirects, resamples, seed)

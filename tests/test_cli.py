@@ -13,6 +13,7 @@ from graphwalk import relatedness as rel_mod
 from graphwalk.cli import main
 from graphwalk.dictionary import Candidate, DictEntry, Dictionary, SqliteDictionary
 from graphwalk.errors import DataError
+from graphwalk.ned import CachedHttpResolver
 
 from conftest import LIONS_SENTENCE, write_lions_corpus, write_tsv
 
@@ -63,8 +64,10 @@ def test_build_is_deterministic(workspace, tmp_path):
 
 # sha256 of the files `build` writes for the workspace, of the predictions
 # of `rel` and of `ned --workers 1` for each system, and of the reports of
-# those runs, of one rel sweep cell and of `eval` for each task (build files
-# and ppr predictions recorded at commit 4e9fd21, the rest at c7c1170). A
+# those runs, of one rel sweep cell, of `eval` for each task, of `eval --task
+# ned --redirects` and of a pooled two-dataset `eval` for each task (build
+# files and ppr predictions recorded at commit 4e9fd21, the last three
+# reports at 4f5da0a, the rest at c7c1170). A
 # change meant to keep outputs byte-identical must reproduce them; one that
 # alters an output on purpose records its new digest here
 GOLDEN_DIGESTS = {
@@ -86,6 +89,12 @@ GOLDEN_DIGESTS = {
     "sweep/summary.csv": "322e02dbaf234dbbb2e71e19a4ef19266faebcbdb11a12db061d5cdbbeaf53e8",
     "eval.rel.json": "0918221c560eebf6cdc3bdb7fa16d9086bb3921d563b64b1686e9e0a3e05ab94",
     "eval.ned.json": "7b7eb00f40039781fad5c85377cd68572941c26371926724dac8b6c9c9f5bb68",
+    "eval.ned.redirects.json":
+        "e01ca1553036dd08e40c836919f0769092868765bedcade8b0279eccb7250afb",
+    "eval.rel.pooled.json":
+        "5bb6167d0f7838dff59fd26b64b7c3de783e673bc351d20fbadd9ebb0a6f433b",
+    "eval.ned.pooled.json":
+        "df5dee34a0bfeeabe0c08b2e35ca60249aedcfe279adf180f6ef42bdc74d5ee4",
 }
 
 # every run reads the workspace through relative paths, from a copy of it,
@@ -105,10 +114,25 @@ DIGEST_RUNS = [
      "--baseline", "rel.ngd.tsv", "--report", "eval.rel.json"],
     ["eval", "--task", "ned", "--dataset", "queries.tsv", "--preds", "ned.tsv",
      "--baseline", "ned.mfs.tsv", "--report", "eval.ned.json"],
+    ["eval", "--task", "ned", "--dataset", "queries.tsv", "--preds", "ned.tsv",
+     "--redirects", "redirects.tsv", "--baseline", "ned.mfs.tsv",
+     "--report", "eval.ned.redirects.json"],
+    # each task's dataset in two halves, run apart and evaluated pooled
+    *(["rel", "--data", "data", "--pairs", f"pairs.{half}.tsv", "--out", f"rel.{half}.tsv",
+       "--workers", "1"] for half in "ab"),
+    *(["ned", "--data", "data", "--queries", f"queries.{half}.tsv",
+       "--out", f"ned.{half}.tsv", "--workers", "1"] for half in "ab"),
+    ["eval", "--task", "rel", "--dataset", "pairs.a.tsv", "--dataset", "pairs.b.tsv",
+     "--preds", "rel.a.tsv", "--preds", "rel.b.tsv", "--baseline", "rel.ngd.tsv",
+     "--report", "eval.rel.pooled.json"],
+    ["eval", "--task", "ned", "--dataset", "queries.a.tsv", "--dataset", "queries.b.tsv",
+     "--preds", "ned.a.tsv", "--preds", "ned.b.tsv", "--baseline", "ned.mfs.tsv",
+     "--report", "eval.ned.pooled.json"],
 ]
 RUN_OUTPUTS = ["rel.tsv", "ned.tsv", "ned.ngd.tsv", "ned.mfs.tsv", "rel.json", "ned.json",
                "ned.ngd.json", "ned.mfs.json", "sweep/Hr_a0.85_i30_k5000_P.json",
-               "sweep/summary.csv", "eval.rel.json", "eval.ned.json"]
+               "sweep/summary.csv", "eval.rel.json", "eval.ned.json",
+               "eval.ned.redirects.json", "eval.rel.pooled.json", "eval.ned.pooled.json"]
 
 
 def _sqlite_rows_digest(path) -> str:
@@ -128,6 +152,13 @@ def test_workspace_outputs_match_the_recorded_digests(workspace, tmp_path, monke
     shutil.copytree(data, tmp_path / "data")
     for name in ("pairs.tsv", "queries.tsv", "doc.txt"):
         shutil.copyfile(workspace["root"] / name, tmp_path / name)
+    for name, cut in (("pairs", 2), ("queries", 5)):
+        header, *rows = (tmp_path / f"{name}.tsv").read_text().splitlines(keepends=True)
+        (tmp_path / f"{name}.a.tsv").write_text(header + "".join(rows[:cut]))
+        (tmp_path / f"{name}.b.tsv").write_text(header + "".join(rows[cut:]))
+    # a two-step chain that turns the mfs baseline's rugby team into the gold
+    (tmp_path / "redirects.tsv").write_text(
+        "old_title\tnew_title\nB&I_Lions\tLions_Tour_1997\nLions_Tour_1997\tHighveld_Lions\n")
     monkeypatch.chdir(tmp_path)
     for argv in DIGEST_RUNS:
         assert main(argv) == 0
@@ -183,6 +214,76 @@ def test_dictionary_ids_outside_the_graph_are_a_data_error(
     err = capsys.readouterr().err
     assert str(outside_ids_data / backend) in err
     assert "999" in err
+
+
+@pytest.mark.parametrize("sql, message", [
+    (None, "file is not a database"),
+    ("DELETE FROM meta", "not a dictionary database: bad max_token_len"),
+    ("UPDATE meta SET value = 'two'", "not a dictionary database: bad max_token_len"),
+    ("UPDATE entries SET candidates = x'0100000000' WHERE mention = 'lions'",
+     "entry 'lions': candidates are not a nonzero u32 count then that many triples"),
+    ("UPDATE entries SET candidates = x'00000000' WHERE mention = 'lions'",
+     "entry 'lions': candidates are not a nonzero u32 count then that many triples"),
+    ("UPDATE entries SET candidates = substr(candidates, 1, 24) WHERE mention = 'lions'",
+     "entry 'lions': candidates are not a nonzero u32 count then that many triples"),
+    ("UPDATE entries SET candidates = 'text' WHERE mention = 'lions'",
+     "entry 'lions': candidates are not a nonzero u32 count then that many triples"),
+    ("DROP TABLE entries", "no such table: entries"),
+], ids=["not_a_database", "no_max_token_len", "text_max_token_len", "five_byte_blob",
+        "zero_count", "count_beyond_the_blob", "text_blob", "no_entries_table"])
+def test_a_broken_sqlite_dictionary_is_a_data_error(workspace, tmp_path, capsys, sql,
+                                                     message):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    db = data / "dict.sqlite"
+    if sql is None:
+        db.write_bytes(b"not a database " * 100)
+    else:
+        with closing(sqlite3.connect(db)) as conn:
+            conn.execute(sql)
+            conn.commit()
+    rc = main(["rel", "--data", str(data), "--pairs", str(workspace["pairs"]),
+               "--out", str(tmp_path / "out.tsv"), "--sqlite-dict"])
+    assert rc == 2
+    assert f"data error: {db}: {message}" in capsys.readouterr().err
+
+
+def test_sqlite_dict_without_a_database_is_a_data_error(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    (data / "dict.sqlite").unlink()
+    rc = main(["rel", "--data", str(data), "--pairs", str(workspace["pairs"]),
+               "--out", str(tmp_path / "out.tsv"), "--sqlite-dict"])
+    assert rc == 2
+    assert (f"missing dictionary database {data / 'dict.sqlite'}; run 'graphwalk build "
+            f"--sqlite-dict' first") in capsys.readouterr().err
+    assert not (tmp_path / "out.tsv").exists()
+
+
+def test_a_run_served_from_the_resolver_cache_never_writes_it(workspace, tmp_path,
+                                                              monkeypatch):
+    # a shared, pre-filled cache may sit where the run cannot write
+    (tmp_path / "doc.txt").write_text(LIONS_SENTENCE, encoding="utf-8")
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("query_id\tmention\tcontext_file\n"
+                       "q0\tZzqx One\tdoc.txt\nq1\tZzqx Two\tdoc.txt\n", encoding="utf-8")
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps({"Zzqx One": "Cape_Town", "Zzqx Two": None}), encoding="utf-8")
+
+    def unwritable(self):
+        raise OSError("read-only file system")
+
+    def no_fetch(self, mention):
+        raise AssertionError(f"fetched {mention!r}")
+
+    monkeypatch.setattr(CachedHttpResolver, "_save", unwritable)
+    monkeypatch.setattr(CachedHttpResolver, "_fetch", no_fetch)
+    assert main(["ned", "--data", str(workspace["data"]), "--queries", str(queries),
+                 "--out", str(tmp_path / "out.tsv"), "--workers", "2",
+                 "--resolver-url", "http://example.invalid/{query}",
+                 "--resolver-cache", str(cache)]) == 0
+    lines = (tmp_path / "out.tsv").read_text(encoding="utf-8").splitlines()
+    assert [line.split("\t")[1] for line in lines[1:]] == ["Cape_Town", "NIL"]
 
 
 def test_ned_end_to_end_and_worker_determinism(workspace, tmp_path):
@@ -754,4 +855,21 @@ def test_eval_resamples_and_seed_are_checked_at_the_flag(workspace, tmp_path, ca
                  "--preds", str(preds), "--baseline", str(preds),
                  "--report", str(report), flag, value]) == 1
     assert f"usage error: {flag} must be >= " in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--redirects", "redirects.tsv"), ("--resamples", "1000"), ("--seed", "0"),
+])
+def test_ned_only_eval_flags_are_usage_errors_with_task_rel(workspace, tmp_path, capsys,
+                                                            flag, value):
+    preds = tmp_path / "p.tsv"
+    assert main(["rel", "--data", str(workspace["data"]),
+                 "--pairs", str(workspace["pairs"]), "--out", str(preds)]) == 0
+    (tmp_path / "redirects.tsv").write_text("old_title\tnew_title\nA\tB\n", encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert main(["eval", "--task", "rel", "--dataset", str(workspace["pairs"]),
+                 "--preds", str(preds), "--report", str(report),
+                 flag, str(tmp_path / value) if flag == "--redirects" else value]) == 1
+    assert f"usage error: {flag} applies to --task ned only" in capsys.readouterr().err
     assert not report.exists()

@@ -280,14 +280,13 @@ def test_run_eval_ned_with_bootstrap_baseline(lions, tmp_path):
     write_predictions(base_preds, nodes, str(base_path))
 
     report, preds = run_eval("ned", "ppr", [str(ds)], graph=graph, store=store,
-                             nodes=nodes, baseline_paths=[str(base_path)],
-                             resamples=1000, seed=2)
+                             nodes=nodes, baseline_paths=[str(base_path)])
     assert report.value == 1.0
     assert report.extras["fallback_count"] == 0
     sig = report.significance[0]
     assert sig["test"] == "paired-bootstrap-one-sided"
     assert sig["p_value"] < 0.05
-    assert sig["resamples"] == 1000 and sig["seed"] == 2
+    assert sig["resamples"] == 10_000 and sig["seed"] == 0
 
 
 def test_run_eval_reports_exact_fallback_counter(lions, tmp_path):
@@ -455,12 +454,14 @@ def test_run_eval_and_eval_score_a_ned_run_alike(lions, tmp_path):
     base, preds = str(tmp_path / "mfs.tsv"), str(tmp_path / "ppr.tsv")
     run_eval("ned", "mfs", [ds], graph=graph, store=store, nodes=nodes, out=base)
     report, _ = run_eval("ned", "ppr", [ds], graph=graph, store=store, nodes=nodes,
-                         baseline_paths=[base], resamples=1000, seed=3, out=preds)
-    again = compare_prediction_files("ned", [ds], [preds], [base], resamples=1000, seed=3)
+                         baseline_paths=[base], out=preds)
+    again = compare_prediction_files("ned", [ds], [preds], [base])
     assert report.n == again.n == 8
     assert report.value == again.value == 7 / 8
     assert report.significance == again.significance
     assert report.significance[0]["baseline_value"] == 1 / 8
+    assert report.significance[0]["resamples"] == 10_000
+    assert report.significance[0]["seed"] == 0
 
 
 def test_pooled_datasets_with_repeated_query_ids_are_rejected(lions, tmp_path):
@@ -475,3 +476,47 @@ def test_pooled_datasets_with_repeated_query_ids_are_rejected(lions, tmp_path):
     with pytest.raises(DataError, match="repeat across the pooled datasets"):
         compare_prediction_files("ned", [str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")],
                                  [str(preds)])
+
+
+_NED_HEADER = "query_id\tpredicted_title\tscore\tfallback_used\n"
+_REL_HEADER = "term1\tterm2\tgold\tscore\n"
+
+
+@pytest.mark.parametrize("task, files, preds, baselines, error", [
+    # q2 predicted wrong, then right: it used to score 1.0
+    ("ned", {"p.tsv": "q1\tA\nq2\tX\nq2\tB\n"}, ["p.tsv"], [],
+     r"p\.tsv:4: query id 'q2' is predicted twice"),
+    # pooled files, the second wrong on q1: it used to score 0.0
+    ("ned", {"a.tsv": "q1\tA\nq2\tB\n", "b.tsv": "q1\tX\n"}, ["a.tsv", "b.tsv"], [],
+     r"b\.tsv:2: query id 'q1' is predicted twice"),
+    ("ned", {"a.tsv": "q1\tA\nq2\tB\n", "b.tsv": "q1\tA\n"}, ["a.tsv", "b.tsv"], [],
+     r"b\.tsv:2: query id 'q1' is predicted twice"),
+    ("ned", {"p.tsv": "q1\tA\nq2\tB\n", "base.tsv": "q1\tA\nq2\tX\nq1\tA\n"}, ["p.tsv"],
+     ["base.tsv"], r"base\.tsv:4: query id 'q1' is predicted twice"),
+    ("rel", {"p.tsv": "a\tb\t\t0.9\nc\td\t\t0.1\na\tb\t\t0.2\n"}, ["p.tsv"], [],
+     r"p\.tsv:4: pair \('a', 'b'\) has two different scores"),
+    ("rel", {"a.tsv": "a\tb\t\t0.9\nc\td\t\t0.1\n", "b.tsv": "c\td\t\t0.5\n"},
+     ["a.tsv", "b.tsv"], [], r"b\.tsv:2: pair \('c', 'd'\) has two different scores"),
+    # a pairs file may repeat a pair, so an equal score again is accepted
+    ("rel", {"p.tsv": "a\tb\t\t0.9\nc\td\t\t0.1\na\tb\t\t0.90\n", "q.tsv": "c\td\t\t0.1\n"},
+     ["p.tsv", "q.tsv"], [], None),
+], ids=["ned_twice_in_one_file", "ned_across_pooled_files", "ned_equal_across_pooled_files",
+        "ned_in_a_baseline", "rel_two_scores_in_one_file", "rel_two_scores_across_files",
+        "rel_equal_repeat"])
+def test_a_repeated_prediction_is_a_data_error_at_its_line(tmp_path, task, files, preds,
+                                                           baselines, error):
+    ds = tmp_path / "gold.tsv"
+    ds.write_text("query_id\tmention\tcontext_file\tchar_offset\tgold_title\n"
+                  "q1\tA\tdoc.txt\t\tA\nq2\tB\tdoc.txt\t\tB\n" if task == "ned" else
+                  "term1\tterm2\tgold\na\tb\t3.0\nc\td\t1.0\n", encoding="utf-8")
+    (tmp_path / "doc.txt").write_text("A B", encoding="utf-8")
+    for name, rows in files.items():
+        (tmp_path / name).write_text((_NED_HEADER if task == "ned" else _REL_HEADER) + rows,
+                                     encoding="utf-8")
+    pred_paths = [str(tmp_path / name) for name in preds]
+    base_paths = [str(tmp_path / name) for name in baselines]
+    if error is None:
+        assert compare_prediction_files(task, [str(ds)], pred_paths, base_paths).value == 1.0
+    else:
+        with pytest.raises(DataError, match=error):
+            compare_prediction_files(task, [str(ds)], pred_paths, base_paths)
