@@ -201,7 +201,7 @@ def cmd_run(args) -> int:
         workers=args.workers, out=args.out, **inputs)
     if report is None:
         if args.report:
-            raise DataError(f"cannot write a report: {NO_GOLD[args.task]}")
+            raise DataError(f"{args.dataset}: cannot write a report: {NO_GOLD[args.task]}")
         return 0
     if args.task == "rel":
         print(f"spearman {report.value:.4f} on {report.n} pairs")
@@ -283,7 +283,7 @@ def cmd_sweep(args) -> int:
             nodes=nodes, params=params, config={"graph_spec": spec, "data": args.data},
             workers=args.workers, on_unknown=args.on_unknown or "skip")
         if report is None:
-            raise DataError(f"cannot write a report: {NO_GOLD[args.task]}")
+            raise DataError(f"{args.dataset}: cannot write a report: {NO_GOLD[args.task]}")
         report.write(os.path.join(args.out, name + ".json"))
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write(name + "\n")

@@ -228,10 +228,11 @@ class SqliteDictionary:
     """Dictionary served from a sqlite file without loading it into memory.
 
     Read-only and safe for concurrent readers (one connection per thread).
-    A sqlite error or a missing or non-integer ``max_token_len`` is a
-    DataError naming the file, and so is a row read that is not a nonzero u32
-    candidate count then that many triples or, with ``n_nodes`` given, that
-    names a candidate article id >= ``n_nodes``.
+    A sqlite error, text that is not UTF-8 or a missing, non-integer or
+    negative ``max_token_len`` is a DataError naming the file, and so is a row
+    read that is not a nonzero u32 candidate count then that many triples,
+    whose triples ``load`` would reject (see ``_check_candidates``) or, with
+    ``n_nodes`` given, that names a candidate article id >= ``n_nodes``.
     """
 
     def __init__(self, path: str, n_nodes: int | None = None):
@@ -241,7 +242,9 @@ class SqliteDictionary:
         row = self._row("SELECT value FROM meta WHERE key='max_token_len'", ())
         try:
             self.max_token_len = int(str(row[0]))
-        except (TypeError, ValueError):  # no row, or not an integer
+            if self.max_token_len < 0:
+                raise ValueError
+        except (TypeError, ValueError):  # no row, or not an integer >= 0
             raise DataError(f"{path}: not a dictionary database: bad max_token_len") from None
 
     def _row(self, sql: str, args: tuple):
@@ -253,6 +256,8 @@ class SqliteDictionary:
             return conn.execute(sql, args).fetchone()
         except sqlite3.DatabaseError as exc:
             raise DataError(f"{self._path}: {exc}") from None
+        except UnicodeDecodeError:  # sqlite3 decoding a corrupt file's error message
+            raise DataError(f"{self._path}: corrupt database: text that is not UTF-8") from None
 
     def get(self, mention: str):
         row = self._row("SELECT candidates FROM entries WHERE mention=?", (mention,))
@@ -263,10 +268,14 @@ class SqliteDictionary:
         if count == 0 or len(blob) != _COUNT.size + count * _TRIPLE.size:
             raise DataError(f"{self._path}: entry {mention!r}: candidates are not a nonzero "
                             f"u32 count then that many triples")
-        cands = _candidates(blob[_COUNT.size:])
+        triples = np.frombuffer(blob, _TRIPLE_DTYPE, count, _COUNT.size)
+        try:
+            _check_candidates(triples, np.array([count]), np.array([0, count]))
+        except ValueError as exc:
+            raise DataError(f"{self._path}: entry {mention!r}: {exc}") from None
         if self._n_nodes is not None:
-            _check_articles(self._path, max(c.article for c in cands), self._n_nodes)
-        return DictEntry(mention, cands)
+            _check_articles(self._path, int(triples["article"].max()), self._n_nodes)
+        return DictEntry(mention, _candidates(blob[_COUNT.size:]))
 
     def lookup(self, raw: str):
         m = normalize_mention(raw)

@@ -233,32 +233,39 @@ def _spearman_over_scored(pairs, scores, source: str) -> tuple[float, int]:
 
 
 def load_gold(task: str, dataset_paths: list[str]) -> list:
-    """The pooled gold of ``dataset_paths``: relatedness pairs or NED queries."""
+    """The pooled gold of ``dataset_paths``: relatedness pairs or NED queries.
+    A query id in more than one NED dataset is a DataError naming the later one."""
     if task == "rel":
         return [p for path in dataset_paths for p in load_relatedness_pairs(path)]
     if task == "ned":
-        return [q for path in dataset_paths for q in ned_mod.load_queries(path)]
+        queries: dict[str, ned_mod.NedQuery] = {}
+        for path in dataset_paths:
+            for q in ned_mod.load_queries(path):
+                if queries.setdefault(q.query_id, q) is not q:
+                    raise DataError(f"{path}: query id {q.query_id!r} is in an earlier dataset; "
+                                    f"query ids must not repeat across the pooled datasets")
+        return list(queries.values())
     raise ValueError(f"unknown task {task!r}")
 
 
 def score(task: str, name: str, gold: list, predicted: dict, baseline_paths, config: dict,
-          redirects=None, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> EvalReport:
+          redirects=None, resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
+          source: str = "predictions") -> EvalReport:
     """The report of ``predicted`` against ``load_gold``'s ``gold``, with the
-    task's significance test against each baseline prediction file.
+    task's significance test against each baseline prediction file. A scoring
+    error names ``predicted`` as ``source``.
 
     rel: Spearman over the gold pairs each system scored, and a two-sided
     Fisher z test, which needs 4 such pairs on each side. ned: non-NIL accuracy
     of the redirect-mapped titles over the queries with a knowledge-base gold
     entity, and a one-sided paired bootstrap."""
     if task == "rel":
-        value, n = _spearman_over_scored(gold, predicted, "predictions")
+        value, n = _spearman_over_scored(gold, predicted, source)
         test, settings = "fisher-z-two-sided", {}
     else:
         queries = [(q.query_id, q.gold_title) for q in gold]
-        if len({query_id for query_id, _ in queries}) != len(queries):
-            raise DataError("query ids repeat across the pooled datasets")
         vmap = _version_map(redirects)
-        ours = _outcomes(queries, predicted, vmap, "predictions")
+        ours = _outcomes(queries, predicted, vmap, source)
         value, n = sum(ours) / len(ours), len(ours)
         test, settings = "paired-bootstrap-one-sided", {"resamples": resamples, "seed": seed}
     report = EvalReport(name, "spearman" if task == "rel" else "accuracy", value, n, config)
@@ -340,4 +347,5 @@ def compare_prediction_files(task: str, dataset_paths: list[str],
     gold = load_gold(task, dataset_paths)
     predicted = _pooled_predictions(task, pred_paths)
     return score(task, "+".join(dataset_paths), gold, predicted, baseline_paths,
-                 {"task": task}, redirects, resamples, seed)
+                 {"task": task}, redirects, resamples, seed,
+                 f"predictions {'+'.join(pred_paths)}")

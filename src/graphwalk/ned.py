@@ -129,41 +129,8 @@ def disambiguate(query: NedQuery, graph: TypedGraph, store,
     With no context mentions the highest-prior candidate is returned and
     flagged as a fallback. No candidates at all gives a NIL prediction.
     """
-    return _disambiguate_chunk([query], graph, store, params, resolver, nodes,
-                               include_target)[0]
-
-
-def _disambiguate_chunk(queries: list[NedQuery], graph: TypedGraph, store,
-                        params: PprParams | None, resolver,
-                        nodes: NodeTable | None,
-                        include_target: bool) -> list[NedPrediction]:
-    """``disambiguate`` for each query, walking their teleports as one block.
-
-    Each walk result is ranked as it is yielded and then dropped, so at most
-    one block of walk vectors is held at a time.
-    """
-    params = params or DEFAULT_NED_PARAMS
-    preds: list[NedPrediction | None] = [None] * len(queries)
-    walked: list[tuple[int, DictEntry]] = []
-    teleports = []
-    for i, query in enumerate(queries):
-        entry = generate_candidates(query.mention, store, resolver, nodes)
-        if entry is None:
-            preds[i] = NedPrediction(query.query_id, None, ())
-            continue
-        context = extract_context(query, store)
-        if not context:
-            preds[i] = _prior_prediction(query, entry, fallback=True)
-            continue
-        teleport_entries = context + [entry] if include_target else context
-        teleports.append(build_teleport(teleport_entries, graph.n_nodes, params.prior_init))
-        walked.append((i, entry))
-    ppvs = _engine_for(graph).run_many(teleports, params)
-    for (i, entry), ppv in zip(walked, ppvs):
-        scored = [(c.article, ppv.get(c.article) * (c.prior if params.prior_init else 1.0))
-                  for c in entry.candidates]
-        preds[i] = _rank(queries[i], scored)
-    return preds
+    return _predict_chunk([query], "ppr", graph, store, params, resolver, nodes,
+                          include_target)[0]
 
 
 def ngd_disambiguate(query: NedQuery, graph: TypedGraph, store,
@@ -174,11 +141,53 @@ def ngd_disambiguate(query: NedQuery, graph: TypedGraph, store,
     occurrence count inside the window. When no monosemous mention exists or
     nothing is related, this degrades to the highest-prior candidate.
     """
-    entry = generate_candidates(query.mention, store, resolver, nodes)
-    if entry is None:
-        return NedPrediction(query.query_id, None, ())
+    return _predict_chunk([query], "ngd", graph, store, None, resolver, nodes, True)[0]
+
+
+def mfs_baseline(query: NedQuery, store, resolver=None,
+                 nodes: NodeTable | None = None) -> NedPrediction:
+    """Most-frequent-sense baseline: the highest-prior candidate."""
+    return _predict_chunk([query], "mfs", None, store, None, resolver, nodes, True)[0]
+
+
+def _predict_chunk(queries: list[NedQuery], system: str, graph: TypedGraph | None, store,
+                   params: PprParams | None, resolver, nodes: NodeTable | None,
+                   include_target: bool) -> list[NedPrediction]:
+    """``system``'s prediction for each query, as its one-query function gives
+    it. ``ppr`` walks the chunk's teleports as one block and ranks each walk
+    result as it is yielded, so at most one block of walk vectors is held."""
+    params = params or DEFAULT_NED_PARAMS
+    preds: list[NedPrediction | None] = [None] * len(queries)
+    walked: list[tuple[int, DictEntry]] = []
+    teleports = []
+    for i, query in enumerate(queries):
+        entry = generate_candidates(query.mention, store, resolver, nodes)
+        if entry is None:
+            preds[i] = NedPrediction(query.query_id, None, ())
+        elif system == "mfs":
+            preds[i] = _prior_prediction(query, entry, fallback=False)
+        elif not (context := extract_context(query, store)):
+            preds[i] = _prior_prediction(query, entry, fallback=True)
+        elif system == "ngd":
+            preds[i] = _ngd_rank(query, entry, context, graph)
+        else:
+            teleport_entries = context + [entry] if include_target else context
+            teleports.append(build_teleport(teleport_entries, graph.n_nodes, params.prior_init))
+            walked.append((i, entry))
+    if walked:
+        ppvs = _engine_for(graph).run_many(teleports, params)
+        for (i, entry), ppv in zip(walked, ppvs):
+            scored = [(c.article, ppv.get(c.article) * (c.prior if params.prior_init else 1.0))
+                      for c in entry.candidates]
+            preds[i] = _rank(queries[i], scored)
+    return preds
+
+
+def _ngd_rank(query: NedQuery, entry: DictEntry, context: list[DictEntry],
+              graph: TypedGraph) -> NedPrediction:
+    """``ngd_disambiguate`` of a query with candidates and context."""
     weights: dict[int, int] = {}
-    for ctx in extract_context(query, store):
+    for ctx in context:
         if len(ctx.candidates) == 1:
             article = ctx.candidates[0].article
             weights[article] = weights.get(article, 0) + 1
@@ -192,15 +201,6 @@ def ngd_disambiguate(query: NedQuery, graph: TypedGraph, store,
     if all(s == 0.0 for _, s in scored):
         return _prior_prediction(query, entry, fallback=True)
     return _rank(query, scored)
-
-
-def mfs_baseline(query: NedQuery, store, resolver=None,
-                 nodes: NodeTable | None = None) -> NedPrediction:
-    """Most-frequent-sense baseline: the highest-prior candidate."""
-    entry = generate_candidates(query.mention, store, resolver, nodes)
-    if entry is None:
-        return NedPrediction(query.query_id, None, ())
-    return _prior_prediction(query, entry, fallback=False)
 
 
 def run_batch(queries: list[NedQuery], graph: TypedGraph, store,
@@ -217,18 +217,11 @@ def run_batch(queries: list[NedQuery], graph: TypedGraph, store,
     """
     if system not in ("ppr", "ngd", "mfs"):
         raise ValueError(f"unknown NED system {system!r}")
-
-    def one(chunk: list[NedQuery]) -> list[NedPrediction]:
-        if system == "ppr":
-            return _disambiguate_chunk(chunk, graph, store, params, resolver, nodes,
-                                       include_target)
-        if system == "ngd":
-            return [ngd_disambiguate(q, graph, store, resolver, nodes) for q in chunk]
-        return [mfs_baseline(q, store, resolver, nodes) for q in chunk]
-
     if system == "ppr":
         _engine_for(graph)  # built by a worker, it raised ned bench peak RSS 7% (2 cores)
-    return map_chunks(one, queries, workers)
+    return map_chunks(lambda chunk: _predict_chunk(chunk, system, graph, store, params,
+                                                   resolver, nodes, include_target),
+                      queries, workers)
 
 
 def _target_index(text: str, tokens: list[str], mention: str,

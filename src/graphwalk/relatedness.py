@@ -8,8 +8,8 @@ import numpy as np
 
 from .graph import TypedGraph
 from .parallel import map_chunks
-from .ppr import (PprParams, ScoreVector, _engine_for, build_teleport, run_ppr,
-                  truncate_ppv)
+from .ppr import (PprParams, ScoreVector, _engine_for, build_teleport, truncate_ppv,
+                  run_ppr)  # noqa: F401  (perfbench/spans.py wraps relatedness.run_ppr by name)
 
 
 class UnknownTermError(LookupError):
@@ -30,11 +30,10 @@ def cosine(a: ScoreVector, b: ScoreVector) -> float:
 
 def term_ppv(term: str, graph: TypedGraph, store, params: PprParams) -> ScoreVector:
     """Truncated walk vector for a single term used as the only mention."""
-    entry = store.lookup(term)
-    if entry is None:
+    ppv = _term_vectors([term], graph, store, params, 1)[term]
+    if ppv is None:
         raise UnknownTermError(term)
-    teleport = build_teleport([entry], graph.n_nodes, params.prior_init)
-    return truncate_ppv(run_ppr(graph, teleport, params), params.k)
+    return ppv
 
 
 def relate(term1: str, term2: str, graph: TypedGraph, store,

@@ -4,6 +4,7 @@ import hashlib
 import json
 import shutil
 import sqlite3
+import struct
 from contextlib import closing
 
 import pytest
@@ -216,6 +217,25 @@ def test_dictionary_ids_outside_the_graph_are_a_data_error(
     assert "999" in err
 
 
+def misprice_lions(db) -> None:
+    """Keep the counts (55, 45) of the "lions" row but give it priors 0.1 and
+    0.9: no longer count over total, and out of prior order."""
+    with closing(sqlite3.connect(db)) as conn:
+        blob = conn.execute("SELECT candidates FROM entries WHERE mention = 'lions'").fetchone()[0]
+        triples = [(a, c, p) for (a, c, _), p in zip(struct.iter_unpack("<IQd", blob[4:]),
+                                                     (0.1, 0.9))]
+        conn.execute("UPDATE entries SET candidates = ? WHERE mention = 'lions'",
+                     (blob[:4] + b"".join(struct.pack("<IQd", *t) for t in triples),))
+        conn.commit()
+
+
+def flip_a_table_name(db) -> None:
+    """Flip the top bit of a byte of the schema's "meta": not UTF-8 any more."""
+    raw = bytearray(db.read_bytes())
+    raw[raw.index(b"tablemetameta") + len(b"tablem")] ^= 0x80
+    db.write_bytes(bytes(raw))
+
+
 @pytest.mark.parametrize("sql, message", [
     (None, "file is not a database"),
     ("DELETE FROM meta", "not a dictionary database: bad max_token_len"),
@@ -229,8 +249,12 @@ def test_dictionary_ids_outside_the_graph_are_a_data_error(
     ("UPDATE entries SET candidates = 'text' WHERE mention = 'lions'",
      "entry 'lions': candidates are not a nonzero u32 count then that many triples"),
     ("DROP TABLE entries", "no such table: entries"),
+    ("UPDATE meta SET value = '-1'", "not a dictionary database: bad max_token_len"),
+    (misprice_lions, "entry 'lions': candidate priors do not match their counts"),
+    (flip_a_table_name, "corrupt database: text that is not UTF-8"),
 ], ids=["not_a_database", "no_max_token_len", "text_max_token_len", "five_byte_blob",
-        "zero_count", "count_beyond_the_blob", "text_blob", "no_entries_table"])
+        "zero_count", "count_beyond_the_blob", "text_blob", "no_entries_table",
+        "negative_max_token_len", "priors_not_count_over_total", "schema_not_utf8"])
 def test_a_broken_sqlite_dictionary_is_a_data_error(workspace, tmp_path, capsys, sql,
                                                      message):
     data = tmp_path / "data"
@@ -238,6 +262,8 @@ def test_a_broken_sqlite_dictionary_is_a_data_error(workspace, tmp_path, capsys,
     db = data / "dict.sqlite"
     if sql is None:
         db.write_bytes(b"not a database " * 100)
+    elif callable(sql):
+        sql(db)
     else:
         with closing(sqlite3.connect(db)) as conn:
             conn.execute(sql)
@@ -246,6 +272,52 @@ def test_a_broken_sqlite_dictionary_is_a_data_error(workspace, tmp_path, capsys,
                "--out", str(tmp_path / "out.tsv"), "--sqlite-dict"])
     assert rc == 2
     assert f"data error: {db}: {message}" in capsys.readouterr().err
+
+
+def test_a_query_id_repeated_across_pooled_datasets_names_the_later_dataset(
+        workspace, tmp_path, capsys):
+    again = tmp_path / "again.tsv"
+    shutil.copy(workspace["queries"], again)
+    shutil.copy(workspace["root"] / "doc.txt", tmp_path)
+    preds = tmp_path / "preds.tsv"
+    assert main(["ned", "--data", str(workspace["data"]), "--queries", str(workspace["queries"]),
+                 "--out", str(preds), "--system", "mfs"]) == 0
+    rc = main(["eval", "--task", "ned", "--dataset", str(workspace["queries"]),
+               "--dataset", str(again), "--preds", str(preds)])
+    assert rc == 2
+    assert (f"data error: {again}: query id 'q0' is in an earlier dataset; query ids must "
+            f"not repeat across the pooled datasets") in capsys.readouterr().err
+
+
+def test_a_missing_prediction_names_the_prediction_files(workspace, tmp_path, capsys):
+    preds = tmp_path / "preds.tsv"
+    assert main(["ned", "--data", str(workspace["data"]), "--queries", str(workspace["queries"]),
+                 "--out", str(preds), "--system", "mfs"]) == 0
+    header, *rows = preds.read_text(encoding="utf-8").splitlines(keepends=True)
+    first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+    first.write_text(header + "".join(rows[:5]), encoding="utf-8")
+    second.write_text(header + "".join(r for r in rows[5:] if not r.startswith("q8\t")),
+                      encoding="utf-8")
+    rc = main(["eval", "--task", "ned", "--dataset", str(workspace["queries"]),
+               "--preds", str(first), "--preds", str(second)])
+    assert rc == 2
+    assert (f"data error: predictions {first}+{second}: no prediction for query 'q8'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["rel", "sweep"])
+def test_a_report_over_a_dataset_without_gold_names_the_dataset(workspace, tmp_path, capsys,
+                                                                command):
+    pairs = tmp_path / "pairs.tsv"
+    write_tsv(pairs, "term1\tterm2", [("alan kourie", "lions"), ("cape town", "lions")])
+    if command == "rel":
+        argv = ["rel", "--pairs", str(pairs), "--out", str(tmp_path / "out.tsv"),
+                "--report", str(tmp_path / "r.json")]
+    else:
+        argv = ["sweep", "--task", "rel", "--dataset", str(pairs), "--out", str(tmp_path / "s")]
+    assert main(argv + ["--data", str(workspace["data"]), "--workers", "1"]) == 2
+    assert (f"data error: {pairs}: cannot write a report: dataset has no gold scores"
+            in capsys.readouterr().err)
 
 
 def test_sqlite_dict_without_a_database_is_a_data_error(workspace, tmp_path, capsys):

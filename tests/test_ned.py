@@ -19,6 +19,8 @@ from graphwalk.ned import (CachedHttpResolver, NedQuery, disambiguate,
 from graphwalk.parallel import map_in_order
 from graphwalk.ppr import PprParams
 
+from conftest import build_lions_graph
+
 
 @pytest.fixture()
 def cascade_dict():
@@ -286,28 +288,49 @@ def chunk_boundary_queries(query: NedQuery, count: int) -> list[NedQuery]:
     return out
 
 
-@pytest.mark.parametrize("params, include_target", [
-    (None, True),
-    (None, False),
-    (PprParams(iterations=15, k=None, prior_init=False), True),
-    (PprParams(iterations=0, k=None), True),
+# the walk cases keep the ids they had before the system axis was added
+@pytest.mark.parametrize("system, params, include_target", [
+    pytest.param("ppr", None, True, id="None-True"),
+    pytest.param("ppr", None, False, id="None-False"),
+    pytest.param("ppr", PprParams(iterations=15, k=None, prior_init=False), True,
+                 id="params2-True"),
+    pytest.param("ppr", PprParams(iterations=0, k=None), True, id="params3-True"),
+    pytest.param("ngd", None, True, id="ngd"),
+    pytest.param("mfs", None, True, id="mfs"),
 ])
-def test_run_batch_equals_single_queries_across_chunk_boundaries(lions, params,
+def test_run_batch_equals_single_queries_across_chunk_boundaries(lions, system, params,
                                                                 include_target):
     graph, store, nodes, query = lions
+    one_query = {
+        "ppr": lambda q: disambiguate(q, graph, store, params, include_target=include_target),
+        "ngd": lambda q: ngd_disambiguate(q, graph, store),
+        "mfs": lambda q: mfs_baseline(q, store),
+    }[system]
     for count in (0, 1, 15, 16, 17, 33):
         queries = chunk_boundary_queries(query, count)
-        alone = [disambiguate(q, graph, store, params, include_target=include_target)
-                 for q in queries]
+        alone = [one_query(q) for q in queries]
         for workers in (1, 2, 3, 8):
-            assert run_batch(queries, graph, store, params, workers=workers,
+            assert run_batch(queries, graph, store, params, system, workers,
                              include_target=include_target) == alone
     walked = chunk_boundary_queries(query, 33)
-    preds = run_batch(walked, graph, store, params, include_target=include_target)
+    preds = run_batch(walked, graph, store, params, system, include_target=include_target)
     assert {p.predicted is None for p in preds} == {True, False}
-    assert {p.fallback_used for p in preds} == {True, False}
+    assert {p.fallback_used for p in preds} == ({False} if system == "mfs" else {True, False})
     if params is None:
         assert len({p.candidate_scores for p in preds if not p.fallback_used}) > 2
+
+
+@pytest.mark.parametrize("system", ["ngd", "mfs"])
+def test_baseline_systems_build_no_walk_engine(lions, system):
+    _, store, nodes, query = lions
+    graph = build_lions_graph()
+    queries = chunk_boundary_queries(query, 33)
+    preds = run_batch(queries, graph, store, system=system, workers=2)
+    assert graph._engine is None
+    if system == "mfs":  # the most frequent sense needs no graph at all
+        assert run_batch(queries, None, store, system="mfs", workers=2) == preds
+    run_batch(queries, graph, store, workers=2)
+    assert graph._engine is not None
 
 
 def test_run_batch_rejects_unknown_system(lions):

@@ -7,7 +7,7 @@ import pytest
 
 import graphwalk as gw
 from graphwalk.dictionary import Dictionary
-from graphwalk.ppr import PprParams, ScoreVector
+from graphwalk.ppr import PprParams, ScoreVector, build_teleport, run_ppr, truncate_ppv
 from graphwalk.relatedness import (UnknownTermError, combine_scores, cosine,
                                    ngd_relate, ngd_relatedness, relate,
                                    score_pairs, term_ppv)
@@ -267,3 +267,19 @@ def test_term_ppv_is_truncated(drink_world):
     g, d = drink_world
     sv = term_ppv("drink", g, d, PprParams(k=3))
     assert sv.nnz == 3
+
+
+@pytest.mark.parametrize("params", [PprParams(), PprParams(k=3),
+                                    PprParams(iterations=0, k=None, prior_init=False)])
+def test_term_ppv_is_one_walk_of_the_term_truncated(drink_world, params):
+    g, d = drink_world
+    for term in ("drink", "Alcohol", "coffee", "chemistry (science)"):
+        teleport = build_teleport([d.lookup(term)], g.n_nodes, params.prior_init)
+        want = truncate_ppv(run_ppr(g, teleport, params), params.k)
+        got = term_ppv(term, g, d, params)
+        assert got.dim == want.dim
+        assert got.ids.tobytes() == want.ids.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
+    for term in ("zzqx", "(drink)", ""):
+        with pytest.raises(UnknownTermError):
+            term_ppv(term, g, d, params)
