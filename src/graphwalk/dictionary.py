@@ -53,16 +53,18 @@ def normalize_mention(raw: str) -> str:
     opener removes everything to the end of the string. Returns "" when
     nothing survives, which callers treat as no-mention.
     """
-    out = []
-    depth = 0
-    for ch in raw:
-        if ch == "(":
-            depth += 1
-        elif ch == ")" and depth > 0:
-            depth -= 1
-        elif depth == 0:
-            out.append(ch)
-    return _WS_RE.sub(" ", "".join(out)).strip().lower()
+    if "(" in raw:  # without an opener the loop below copies ``raw`` unchanged
+        out = []
+        depth = 0
+        for ch in raw:
+            if ch == "(":
+                depth += 1
+            elif ch == ")" and depth > 0:
+                depth -= 1
+            elif depth == 0:
+                out.append(ch)
+        raw = "".join(out)
+    return _WS_RE.sub(" ", raw).strip().lower()
 
 
 class Dictionary:
@@ -229,7 +231,8 @@ class SqliteDictionary:
 
     Read-only and safe for concurrent readers (one connection per thread).
     A sqlite error, text that is not UTF-8 or a missing, non-integer or
-    negative ``max_token_len`` is a DataError naming the file, and so is a row
+    negative ``max_token_len``, or one that is not the longest mention's token
+    count, is a DataError naming the file when it is opened, and so is a row
     read that is not a nonzero u32 candidate count then that many triples,
     whose triples ``load`` would reject (see ``_check_candidates``) or, with
     ``n_nodes`` given, that names a candidate article id >= ``n_nodes``.
@@ -246,6 +249,11 @@ class SqliteDictionary:
                 raise ValueError
         except (TypeError, ValueError):  # no row, or not an integer >= 0
             raise DataError(f"{path}: not a dictionary database: bad max_token_len") from None
+        # tokens of the longest mention; a normalized mention has single spaces
+        longest = self._row("SELECT max(length(mention) - length(replace(mention, ' ', '')) + 1)"
+                            " FROM entries", ())[0]
+        if self.max_token_len != (longest or 0):
+            raise DataError(f"{path}: max_token_len does not match the mentions")
 
     def _row(self, sql: str, args: tuple):
         """The first row of ``sql`` on this thread's connection, or None."""

@@ -320,6 +320,28 @@ def test_a_report_over_a_dataset_without_gold_names_the_dataset(workspace, tmp_p
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("max_token_len", ["1", "4"])
+def test_a_sqlite_max_token_len_that_is_not_the_longest_mention_is_a_data_error(
+        workspace, tmp_path, capsys, max_token_len):
+    # the longest mention has 3 tokens; with 1, the scan never tried the
+    # two-token context mentions "alan kourie" and "cape town", and q0 scored
+    # 0.0915 instead of the 0.0693 that both dictionary files give
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    argv = ["ned", "--data", str(data), "--queries", str(workspace["queries"])]
+    assert main(argv + ["--out", str(tmp_path / "gwdict.tsv")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "sqlite.tsv"), "--sqlite-dict"]) == 0
+    assert (tmp_path / "sqlite.tsv").read_bytes() == (tmp_path / "gwdict.tsv").read_bytes()
+    db = data / "dict.sqlite"
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute("UPDATE meta SET value = ? WHERE key = 'max_token_len'", (max_token_len,))
+        conn.commit()
+    assert main(argv + ["--out", str(tmp_path / "out.tsv"), "--sqlite-dict"]) == 2
+    assert (f"data error: {db}: max_token_len does not match the mentions"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.tsv").exists()
+
+
 def test_sqlite_dict_without_a_database_is_a_data_error(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)

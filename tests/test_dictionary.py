@@ -56,6 +56,26 @@ def test_normalize_idempotent_and_lowercase(raw):
     assert once == once.strip()
 
 
+def _normalize_by_characters(raw: str) -> str:
+    """The character loop ``normalize_mention`` runs on every string."""
+    out = []
+    depth = 0
+    for ch in raw:
+        if ch == "(":
+            depth += 1
+        elif ch == ")" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    return re.sub(r"\s+", " ", "".join(out)).strip().lower()
+
+
+@given(st.text(alphabet="()\t\n aAzZÉéΣσİß", max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_normalize_equals_the_character_loop(raw):
+    assert normalize_mention(raw) == _normalize_by_characters(raw)
+
+
 # --- build / priors --------------------------------------------------------
 
 def test_priors_are_count_ratios():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import graphwalk as gw
+from graphwalk import ppr
 from graphwalk.dictionary import Candidate, DictEntry
 from graphwalk.ppr import (_BLOCK_COLUMNS, NoContextError, PprEngine, PprParams,
                            ScoreVector, build_teleport, run_ppr, truncate_ppv)
@@ -195,6 +198,67 @@ def test_block_walk_equals_one_walk_oracle_bitwise(seed, count, iterations):
     assert len(got) == count
     for teleport, block_ppv in zip(teleports, got):
         assert block_ppv.to_dense().tobytes() == one_walk_oracle(g, teleport, params).tobytes()
+
+
+def dense_block_oracle(g, teleports: list[ScoreVector], params: PprParams) -> list:
+    """``run_many``'s loop before the sparse frontier: every product of every
+    block multiplies the whole matrix, and each column is read out in place."""
+    n = g.n_nodes
+    outdeg = g.out_degrees()
+    inv = np.zeros(n)
+    inv[outdeg > 0] = 1.0 / outdeg[outdeg > 0]
+    mt = sparse.csr_matrix((np.repeat(inv, outdeg), g.neighbors, g.offsets), shape=(n, n)).T
+    dangling = np.flatnonzero(outdeg == 0)
+    out = []
+    for first in range(0, len(teleports), _BLOCK_COLUMNS):
+        block = teleports[first:first + _BLOCK_COLUMNS]
+        p = np.zeros((n, len(block)), dtype=np.float64)
+        for j, teleport in enumerate(block):
+            p[teleport.ids, j] = teleport.scores
+        for _ in range(params.iterations):
+            d = np.ascontiguousarray(p[dangling].T).sum(axis=1)
+            p = mt.dot(p)
+            p *= params.alpha
+            c = params.alpha * d + 1.0 - params.alpha
+            for j, teleport in enumerate(block):
+                p[teleport.ids, j] += c[j] * teleport.scores
+        out.extend(ScoreVector.from_dense(p[:, j]) for j in range(len(block)))
+    return out
+
+
+@pytest.mark.parametrize("share", [0.0, 1.01, None], ids=["never_sparse", "always_sparse",
+                                                            "default"])
+@given(seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([0, 1, _BLOCK_COLUMNS, _BLOCK_COLUMNS + 1, 37]),
+       iterations=st.sampled_from([0, 1, 2, 5, 15]),
+       sparse_graph=st.booleans(), everywhere=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_frontier_walk_equals_the_dense_block_loop_bitwise(share, seed, count, iterations,
+                                                           sparse_graph, everywhere):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 120))
+    # about two arcs per node reach most rows only after a few products
+    density = 2.0 / n if sparse_graph else None
+    g = graph_from_arcs(n, random_arc_set(rng, n, density, force_dangling=True))
+    # teleports drawn from a few shared ids, so columns of one block overlap;
+    # with ``everywhere`` the first is supported on every node
+    pool = rng.choice(n, size=min(n, 6), replace=False)
+    teleports = []
+    for i in range(count):
+        dense = np.zeros(n)
+        ids = (np.arange(n) if everywhere and i == 0
+               else rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False))
+        dense[ids] = rng.random(len(ids)) + 0.1
+        teleports.append(ScoreVector.from_dense(dense / dense.sum()))
+    params = PprParams(alpha=float(rng.uniform(0.5, 0.99)), iterations=iterations)
+    with mock.patch.object(ppr, "_FRONTIER_ARCS",
+                           ppr._FRONTIER_ARCS if share is None else share):
+        got = list(PprEngine(g).run_many(iter(teleports), params))
+    want = dense_block_oracle(g, teleports, params)
+    assert len(got) == len(want) == count
+    for a, b in zip(got, want):
+        assert np.array_equal(a.ids, b.ids)
+        assert a.scores.tobytes() == b.scores.tobytes()
 
 
 def test_repeat_runs_are_bitwise_identical():
