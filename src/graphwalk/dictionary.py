@@ -8,6 +8,7 @@ import struct
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -30,6 +31,8 @@ _WS_RE = re.compile(r"\s+")
 _OTHER_WS_RE = re.compile(r"[^\S ]")
 # integer totals below this sum and divide exactly in float64
 _EXACT_TOTAL = 2.0 ** 53
+# mentions read per fetch when a sqlite dictionary is opened
+_FETCH_ROWS = 8192
 # guards the one-time decoding of a dictionary's ``entries``
 _ENTRIES_LOCK = threading.Lock()
 
@@ -113,10 +116,7 @@ class Dictionary:
         rows = dict(zip(mentions, range(n_entries)))
         if len(rows) != n_entries:
             raise ValueError("a mention has two entries")
-        bad = _unnormalized(strtab, spans, mentions)
-        if bad is not None:
-            raise ValueError(f"mention {bad!r} is not in normalized form")
-        if max_len != max(map(len, map(str.split, mentions)), default=0):
+        if max_len != _max_tokens(mentions):
             raise ValueError("the header's max token length does not match the mentions")
         _check_candidates(np.frombuffer(data, _TRIPLE_DTYPE, n_triples, triples_at),
                           spans["triples"], first)
@@ -230,9 +230,11 @@ class SqliteDictionary:
     """Dictionary served from a sqlite file without loading it into memory.
 
     Read-only and safe for concurrent readers (one connection per thread).
-    A sqlite error, text that is not UTF-8 or a missing, non-integer or
-    negative ``max_token_len``, or one that is not the longest mention's token
-    count, is a DataError naming the file when it is opened, and so is a row
+    A sqlite error, text that is not UTF-8, a mention that is not text or not
+    in normalized form, or a missing, non-integer or negative
+    ``max_token_len``, or one that is not the longest mention's token count,
+    is a DataError naming the file when it is opened (one pass over the
+    mentions, a fetch at a time), and so is a row
     read that is not a nonzero u32 candidate count then that many triples,
     whose triples ``load`` would reject (see ``_check_candidates``) or, with
     ``n_nodes`` given, that names a candidate article id >= ``n_nodes``.
@@ -249,19 +251,27 @@ class SqliteDictionary:
                 raise ValueError
         except (TypeError, ValueError):  # no row, or not an integer >= 0
             raise DataError(f"{path}: not a dictionary database: bad max_token_len") from None
-        # tokens of the longest mention; a normalized mention has single spaces
-        longest = self._row("SELECT max(length(mention) - length(replace(mention, ' ', '')) + 1)"
-                            " FROM entries", ())[0]
-        if self.max_token_len != (longest or 0):
+        longest, cursor = 0, self._read(lambda conn: conn.execute("SELECT mention FROM entries"))
+        while rows := self._read(lambda _: cursor.fetchmany(_FETCH_ROWS)):
+            try:
+                longest = max(longest, _max_tokens([m for m, in rows]))
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from None
+        if self.max_token_len != longest:
             raise DataError(f"{path}: max_token_len does not match the mentions")
 
     def _row(self, sql: str, args: tuple):
         """The first row of ``sql`` on this thread's connection, or None."""
+        return self._read(lambda conn: conn.execute(sql, args).fetchone())
+
+    def _read(self, fetch):
+        """``fetch(conn)`` on this thread's connection; a sqlite error, or text
+        that is not UTF-8, is a DataError."""
         try:
             conn = getattr(self._local, "conn", None)
             if conn is None:
                 conn = self._local.conn = sqlite3.connect(f"file:{self._path}?mode=ro", uri=True)
-            return conn.execute(sql, args).fetchone()
+            return fetch(conn)
         except sqlite3.DatabaseError as exc:
             raise DataError(f"{self._path}: {exc}") from None
         except UnicodeDecodeError:  # sqlite3 decoding a corrupt file's error message
@@ -291,8 +301,8 @@ class SqliteDictionary:
 
     @classmethod
     def create(cls, dictionary: Dictionary, path: str) -> "SqliteDictionary":
-        """Write one row per mention, in sorted order: the u32 candidate
-        count, then the mention's triples as the snapshot holds them."""
+        """Write one row per mention: the u32 candidate count, then the
+        mention's triples as the snapshot holds them."""
         first = dictionary._first
         conn = sqlite3.connect(path)
         try:
@@ -302,9 +312,9 @@ class SqliteDictionary:
             conn.execute("CREATE TABLE entries (mention TEXT PRIMARY KEY, candidates BLOB)")
             conn.execute("INSERT INTO meta VALUES ('max_token_len', ?)",
                          (str(dictionary.max_token_len),))
-            for m, r in sorted(dictionary._rows.items()):
-                blob = _COUNT.pack(first[r + 1] - first[r]) + dictionary._block(r)
-                conn.execute("INSERT INTO entries VALUES (?, ?)", (m, blob))
+            conn.executemany("INSERT INTO entries VALUES (?, ?)",
+                             ((m, _COUNT.pack(first[r + 1] - first[r]) + dictionary._block(r))
+                              for m, r in dictionary._rows.items()))
             conn.commit()
         finally:
             conn.close()
@@ -370,21 +380,27 @@ def _check_candidates(triples: np.ndarray, per_entry: np.ndarray, first: np.ndar
         raise ValueError("candidates are not ordered by prior, then article id")
 
 
-def _unnormalized(strtab, spans: np.ndarray, mentions: list[str]) -> str | None:
-    """The first mention that ``normalize_mention`` would change, or None.
+def _max_tokens(mentions: list) -> int:
+    """The token count of the longest of ``mentions``; a ValueError naming
+    the first one that is not text or that ``normalize_mention`` would change.
 
     Its fixed points are the non-empty strings with no "(", no upper case and
-    no whitespace but single inner spaces. That is checked over the whole
-    string table; only a table that fails is searched mention by mention.
+    no whitespace but single inner spaces. That is checked over the mentions
+    joined and bracketed by "(", which no fixed point holds; only a list that
+    fails is searched mention by mention.
     """
-    text, tab = strtab.decode("utf-8"), np.frombuffer(strtab, np.uint8)
-    starts, lengths = spans["offset"], spans["length"]
-    if (np.any(lengths == 0) or "(" in text or "  " in text or text.lower() != text
-            or not text.isprintable() and _OTHER_WS_RE.search(text)
-            or np.any(tab[starts] == 32)
-            or np.any(tab[starts + lengths - 1] == 32)):
-        return next(m for m in mentions if not m or normalize_mention(m) != m)
-    return None
+    try:
+        text = f"({'('.join(mentions)}("
+    except TypeError:  # a mention that is not text
+        text = "(("
+    if (text.count("(") != len(mentions) + 1 or "((" in text or "( " in text
+            or " (" in text or "  " in text or text.lower() != text
+            or not text.isprintable() and _OTHER_WS_RE.search(text)):
+        for m in mentions:
+            if not isinstance(m, str) or not m or normalize_mention(m) != m:
+                raise ValueError(f"mention {m!r} is not in normalized form")
+    # a normalized mention has one token more than it has spaces
+    return max(map(str.count, mentions, repeat(" ")), default=-1) + 1
 
 
 def _check_articles(path: str, max_article: int, n_nodes: int) -> None:

@@ -15,12 +15,14 @@ from __future__ import annotations
 import json
 import os
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .dictionary import normalize_mention
 from .errors import DataError
+from .graph import TypedGraph
 from .tsv import read_tsv
 
 PAGE_KINDS = ("article", "category", "redirect", "disambiguation")
@@ -31,7 +33,7 @@ REDIRECT_DEPTH_CAP = 16  # chains longer than this count as cycles
 _CONTROL_RE = re.compile(r"[\x00-\x1f\x7f]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageRecord:
     page_id: int
     title: str
@@ -39,14 +41,14 @@ class PageRecord:
     redirect_target: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawLinkRecord:
     src_title: str
     dst_title: str
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnchorRecord:
     anchor_text: str
     dst_title: str
@@ -148,9 +150,10 @@ def resolve_redirects(rmap: RedirectMap, links: Iterable[RawLinkRecord],
                       tallies: Counter) -> Iterator[RawLinkRecord]:
     """Rewrite link endpoints through redirect chains.
 
-    Emitted records never have a redirect-kind endpoint. Records through a
-    cycle or an unknown title are dropped and tallied, as are self-loops
-    produced by the resolution.
+    Emitted records hold the redirect table's titles, shared by every link,
+    not the line's own copies, and never a redirect-kind endpoint. Records
+    through a cycle or an unknown title are dropped and tallied, as are
+    self-loops produced by the resolution.
     """
     for rec in links:
         src, src_status = rmap.resolve(rec.src_title)
@@ -164,10 +167,7 @@ def resolve_redirects(rmap: RedirectMap, links: Iterable[RawLinkRecord],
         if src == dst:
             tallies["links_dropped_self_loop"] += 1
             continue
-        if src == rec.src_title and dst == rec.dst_title:
-            yield rec
-        else:
-            yield RawLinkRecord(src, dst, rec.kind)
+        yield RawLinkRecord(src, dst, rec.kind)
 
 
 def disambiguation_targets(pages: dict[str, PageRecord],
@@ -229,22 +229,22 @@ def emit_edge_lists(pages: dict[str, PageRecord],
                     resolved_links: Iterable[RawLinkRecord],
                     node_ids: dict[str, int], out_dir: str,
                     tallies: Counter) -> None:
-    """Write deduplicated, sorted per-kind edge files over dense node ids."""
-    arcs: dict[str, set[tuple[int, int]]] = {k: set() for k in LINK_KINDS}
+    """Write per-kind edge files over dense node ids, sorted and deduplicated by from_arcs."""
+    arcs = {k: (array("q"), array("q")) for k in LINK_KINDS}
     for rec in resolved_links:
-        if not _classify_link(rec, pages, tallies):
-            continue
-        pair = (node_ids[rec.src_title], node_ids[rec.dst_title])
-        if pair in arcs[rec.kind]:
-            tallies["links_duplicates_collapsed"] += 1
-        else:
-            arcs[rec.kind].add(pair)
-    for kind in LINK_KINDS:
+        if _classify_link(rec, pages, tallies):
+            src, dst = arcs[rec.kind]
+            src.append(node_ids[rec.src_title])
+            dst.append(node_ids[rec.dst_title])
+    for kind, (src, dst) in arcs.items():
+        g = TypedGraph.from_arcs(len(node_ids), src, dst)
+        if len(src) > g.n_arcs:
+            tallies["links_duplicates_collapsed"] += len(src) - g.n_arcs
         with open(os.path.join(out_dir, f"edges.{kind}.tsv"), "w", encoding="utf-8") as fh:
             fh.write("src_id\tdst_id\n")
-            for src, dst in sorted(arcs[kind]):
-                fh.write(f"{src}\t{dst}\n")
-        tallies[f"edges_{kind}"] = len(arcs[kind])
+            for u in g.out_degrees().nonzero()[0].tolist():
+                fh.writelines(f"{u}\t{v}\n" for v in g.neighbors_of(u).tolist())
+        tallies[f"edges_{kind}"] = g.n_arcs
 
 
 def emit_anchor_counts(pages: dict[str, PageRecord], rmap: RedirectMap,
@@ -283,7 +283,7 @@ def emit_anchor_counts(pages: dict[str, PageRecord], rmap: RedirectMap,
 
     # titles and redirects as dictionary sources, only where no anchor exists
     pseudo: dict[tuple[str, str], int] = {}
-    for title in sorted(pages):
+    for title in pages:
         final, _ = rmap.resolve(title)
         if final is None or pages[final].kind == "category":
             continue

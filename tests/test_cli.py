@@ -252,9 +252,16 @@ def flip_a_table_name(db) -> None:
     ("UPDATE meta SET value = '-1'", "not a dictionary database: bad max_token_len"),
     (misprice_lions, "entry 'lions': candidate priors do not match their counts"),
     (flip_a_table_name, "corrupt database: text that is not UTF-8"),
+    ("UPDATE entries SET mention = NULL WHERE mention = 'lions'",
+     "mention None is not in normalized form"),
+    ("UPDATE entries SET mention = x'6c696f6e73' WHERE mention = 'lions'",
+     "mention b'lions' is not in normalized form"),
+    ("UPDATE entries SET mention = '' WHERE mention = 'lions'",
+     "mention '' is not in normalized form"),
 ], ids=["not_a_database", "no_max_token_len", "text_max_token_len", "five_byte_blob",
         "zero_count", "count_beyond_the_blob", "text_blob", "no_entries_table",
-        "negative_max_token_len", "priors_not_count_over_total", "schema_not_utf8"])
+        "negative_max_token_len", "priors_not_count_over_total", "schema_not_utf8",
+        "null_mention", "blob_mention", "empty_mention"])
 def test_a_broken_sqlite_dictionary_is_a_data_error(workspace, tmp_path, capsys, sql,
                                                      message):
     data = tmp_path / "data"
@@ -338,6 +345,23 @@ def test_a_sqlite_max_token_len_that_is_not_the_longest_mention_is_a_data_error(
         conn.commit()
     assert main(argv + ["--out", str(tmp_path / "out.tsv"), "--sqlite-dict"]) == 2
     assert (f"data error: {db}: max_token_len does not match the mentions"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.tsv").exists()
+
+
+def test_a_sqlite_mention_not_in_normalized_form_is_a_data_error(workspace, tmp_path, capsys):
+    # the store is read by normalized mention, so "Cape Town" was never found:
+    # q8 came out NIL and q0 scored 0.0924 instead of 0.0693
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    db = data / "dict.sqlite"
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute("UPDATE entries SET mention = 'Cape Town' WHERE mention = 'cape town'")
+        conn.commit()
+    rc = main(["ned", "--data", str(data), "--queries", str(workspace["queries"]),
+               "--out", str(tmp_path / "out.tsv"), "--sqlite-dict"])
+    assert rc == 2
+    assert (f"data error: {db}: mention 'Cape Town' is not in normalized form"
             in capsys.readouterr().err)
     assert not (tmp_path / "out.tsv").exists()
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import re
+import sqlite3
 import struct
 import sys
 import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphwalk as gw
+from graphwalk import dictionary as dict_mod
 from graphwalk.dictionary import (Candidate, DictEntry, Dictionary, SqliteDictionary, _pack,
                                   longest_match_scan, normalize_mention)
 from graphwalk.errors import DataError
@@ -575,6 +579,38 @@ def test_a_dictionary_takes_exactly_the_mentions_build_can_write(mentions):
         assert not fixed
     else:
         assert fixed
+
+
+_MENTION_TEXT = st.text(alphabet=" \t\x1c\u00a0\u200b()aAz\u03a3\u03c3\u0130", max_size=8)
+
+
+# half the drawn mentions are normalized, so that lists of them are common
+@given(st.lists(_MENTION_TEXT | _MENTION_TEXT.map(normalize_mention),
+                min_size=1, max_size=6, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_a_sqlite_dictionary_opens_over_exactly_the_mentions_build_can_write(mentions):
+    fixed = all(m and normalize_mention(m) == m for m in mentions)
+    blob = struct.pack("<I", 1) + struct.pack("<IQd", 1, 1, 1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        db = f"{tmp}/dict.sqlite"
+        SqliteDictionary.create(Dictionary({}), db)
+        with closing(sqlite3.connect(db)) as conn:
+            conn.executemany("INSERT INTO entries VALUES (?, ?)", [(m, blob) for m in mentions])
+            conn.execute("UPDATE meta SET value = ?",
+                         (str(max(len(m.split()) for m in mentions)),))
+            conn.commit()
+        # two mentions a fetch, so that a bad or the longest mention may
+        # come in any fetch
+        with mock.patch.object(dict_mod, "_FETCH_ROWS", 2):
+            try:
+                db = SqliteDictionary(db)
+            except DataError as exc:
+                assert not fixed
+                assert "is not in normalized form" in str(exc)
+            else:
+                assert fixed
+                assert {m: db.get(m) for m in mentions} == {
+                    m: DictEntry(m, _ONE) for m in mentions}
 
 
 def _from_counts_could_write(entries: dict) -> bool:

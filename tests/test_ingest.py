@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphwalk import ingest
 from graphwalk.errors import DataError
 from graphwalk.ingest import (REDIRECT_DEPTH_CAP, AnchorRecord, PageRecord, RawLinkRecord,
                               RedirectMap, disambiguation_targets,
@@ -158,6 +162,23 @@ def test_resolution_self_loop_dropped():
                                  [RawLinkRecord("A", "R", "H")], tallies))
     assert out == []
     assert tallies["links_dropped_self_loop"] == 1
+
+
+def test_a_resolved_link_holds_the_page_tables_titles(tmp_path):
+    # each line's own split strings would otherwise stay alive, two per link
+    write_tsv(tmp_path / "p.tsv", "page_id\ttitle\tkind\tredirect_target",
+              [(0, "Alpha_City", "article", ""), (1, "Beta_City", "article", "")])
+    write_tsv(tmp_path / "l.tsv", "src_title\tdst_title\tkind",
+              [("Alpha_City", "Beta_City", "H"), ("Beta_City", "Alpha_City", "I")])
+    pages = read_pages(str(tmp_path / "p.tsv"))
+    out = list(resolve_redirects(RedirectMap.of_pages(pages), iter_links(str(tmp_path / "l.tsv")),
+                                 Counter()))
+    assert [(r.src_title, r.dst_title, r.kind) for r in out] == [
+        ("Alpha_City", "Beta_City", "H"), ("Beta_City", "Alpha_City", "I")]
+    for rec in out:
+        assert rec.src_title is pages[rec.src_title].title
+        assert rec.dst_title is pages[rec.dst_title].title
+        assert not hasattr(rec, "__dict__")
 
 
 def test_resolution_is_idempotent():
@@ -439,3 +460,63 @@ def test_iter_links_rejects_unknown_kind(tmp_path):
               [("A", "B", "H"), ("A", "C", "X")])
     with pytest.raises(DataError, match=r"l\.tsv:3: bad link kind 'X'"):
         list(iter_links(str(tmp_path / "l.tsv")))
+
+
+def set_based_edge_lists(pages, resolved_links, node_ids, out_dir, tallies):
+    """The edge-file oracle: one set of (src, dst) id pairs per kind, each
+    repeat tallied as it arrives, written in sorted order."""
+    arcs = {k: set() for k in "HIC"}
+    for rec in resolved_links:
+        if not ingest._classify_link(rec, pages, tallies):
+            continue
+        pair = (node_ids[rec.src_title], node_ids[rec.dst_title])
+        if pair in arcs[rec.kind]:
+            tallies["links_duplicates_collapsed"] += 1
+        else:
+            arcs[rec.kind].add(pair)
+    for kind in "HIC":
+        with open(os.path.join(out_dir, f"edges.{kind}.tsv"), "w", encoding="utf-8") as fh:
+            fh.write("src_id\tdst_id\n")
+            for src, dst in sorted(arcs[kind]):
+                fh.write(f"{src}\t{dst}\n")
+        tallies[f"edges_{kind}"] = len(arcs[kind])
+
+
+@st.composite
+def link_corpora(draw):
+    """Articles and categories under shuffled page ids, a disambiguation page
+    and a redirect, and links among them (and one unknown title) drawn from a
+    small pool, so that repeats within and across H, I and C are common;
+    sometimes with every repeat removed."""
+    titles = [f"Art_{i}" for i in range(draw(st.integers(1, 6)))]
+    titles += [f"Cat_{i}" for i in range(draw(st.integers(0, 3)))]
+    ids = draw(st.permutations(range(len(titles) + 2)))
+    pages = [(ids[i], t, "article" if t.startswith("Art") else "category", "")
+             for i, t in enumerate(titles)]
+    pages += [(ids[-2], "Dis", "disambiguation", ""), (ids[-1], "Red", "redirect", "Art_0")]
+    ends = st.sampled_from(titles + ["Dis", "Red", "Gone"])
+    links = draw(st.lists(st.tuples(ends, ends, st.sampled_from("HIC")), max_size=60))
+    if draw(st.booleans()):
+        links = list(dict.fromkeys(links))
+    return pages, links
+
+
+@given(link_corpora())
+@settings(max_examples=200, deadline=None)
+def test_edge_files_and_report_equal_the_set_based_oracle(corpus):
+    pages, links = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tsv(f"{tmp}/pages.tsv", "page_id\ttitle\tkind\tredirect_target", pages)
+        write_tsv(f"{tmp}/links.tsv", "src_title\tdst_title\tkind", links)
+        write_tsv(f"{tmp}/anchors.tsv", "anchor_text\tdst_title\tcount", [])
+        inputs = [f"{tmp}/{name}.tsv" for name in ("pages", "links", "anchors")]
+        report = run_ingest(*inputs, f"{tmp}/out")
+        with mock.patch.object(ingest, "emit_edge_lists", set_based_edge_lists):
+            oracle = run_ingest(*inputs, f"{tmp}/oracle")
+        assert report == oracle
+        for name in ("edges.H.tsv", "edges.I.tsv", "edges.C.tsv", "ingest_report.json"):
+            with open(f"{tmp}/out/{name}", "rb") as got, open(f"{tmp}/oracle/{name}", "rb") as want:
+                assert got.read() == want.read(), name
+    # no key at all, not a zero, when nothing repeats
+    collapsed = report["tallies"].get("links_duplicates_collapsed")
+    assert collapsed is None or collapsed > 0
