@@ -167,8 +167,9 @@ def cmd_build(args) -> int:
     shutil.copyfile(os.path.join(args.ingest_dir, "nodes.tsv"),
                     os.path.join(args.out, "nodes.tsv"))
     print(f"{'graph':>10} {'edges':>12} {'nodes':>10}")
+    parts: dict = {}  # shared by the specs, so each edge file is read once
     for spec in specs:
-        g = graph_mod.build_graph(spec, args.ingest_dir, nodes)
+        g = graph_mod.build_graph(spec, args.ingest_dir, nodes, parts)
         graph_mod.save_snapshot(g, os.path.join(args.out, f"graph.{spec}.gwkb"))
         st = graph_mod.stats(g)
         note = f"  [{', '.join(st['flags'])}]" if st["flags"] else ""

@@ -10,7 +10,6 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import ned as ned_mod
 from . import relatedness as rel_mod
@@ -26,6 +25,21 @@ SIGNIFICANCE_LEVEL = 0.05
 DEFAULT_PARAMS = {"rel": PprParams(), "ned": ned_mod.DEFAULT_NED_PARAMS}  # walks given no params
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, each tie group given the mean of its ranks, as
+    ``scipy.stats.rankdata`` gives them; a NaN anywhere makes every rank NaN."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    fresh = np.r_[True, ordered[1:] != ordered[:-1]]  # first slot of each tie group
+    dense = np.cumsum(fresh)                          # tie group of each slot, from 1
+    count = np.r_[np.flatnonzero(fresh), x.size]      # slots before each group, then n
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    return ranks
+
+
 def spearman(gold, pred) -> float:
     """Rank correlation: Pearson over average-rank vectors (ties averaged)."""
     gold = np.asarray(gold, dtype=np.float64)
@@ -34,8 +48,8 @@ def spearman(gold, pred) -> float:
         raise ValueError("gold and pred must have the same length")
     if len(gold) < 2:
         raise ValueError("need at least 2 pairs")
-    rg = rankdata(gold)
-    rp = rankdata(pred)
+    rg = _average_ranks(gold)
+    rp = _average_ranks(pred)
     if np.all(rg == rg[0]) or np.all(rp == rp[0]):
         raise ValueError("rank correlation undefined: zero variance in ranks")
     rg -= rg.mean()

@@ -104,15 +104,6 @@ class TypedGraph:
     def neighbors_of(self, u: int) -> np.ndarray:
         return self.neighbors[self.offsets[u]:self.offsets[u + 1]]
 
-    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        src = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.out_degrees())
-        return src, self.neighbors.astype(np.int64)
-
-    def has_arc(self, a: int, b: int) -> bool:
-        row = self.neighbors_of(a)
-        i = np.searchsorted(row, b)
-        return bool(i < len(row) and row[i] == b)
-
     def _derived(self, slot: str, build):
         """The value in ``slot``, built by ``build()`` once even when threads
         race; once built it is read without taking the lock."""
@@ -266,25 +257,33 @@ def load_edge_file(path: str, nodes: NodeTable, kind: str) -> TypedGraph:
                                 nodes.kinds, kind + "d")
 
 
-def build_graph(spec: str, edges_dir: str, nodes: NodeTable) -> TypedGraph:
+def build_graph(spec: str, edges_dir: str, nodes: NodeTable,
+                parts: dict | None = None) -> TypedGraph:
     """Assemble a graph from per-kind edge files according to a spec string.
 
     Reciprocal filtering of category/infobox parts is permitted but marked
     with an ``experimental:`` flag since those graphs are typically too
-    sparse to be useful.
+    sparse to be useful. ``parts`` keeps each (kind, mode) part built, the
+    edge file's own graph under mode ``d``; a caller that passes one dict to
+    several calls reads each edge file once.
     """
-    parts = parse_graph_spec(spec)
+    parts = {} if parts is None else parts
     built: list[TypedGraph] = []
-    for kind, mode in parts:
-        g = load_edge_file(os.path.join(edges_dir, f"edges.{kind}.tsv"), nodes, kind)
-        if mode == "u":
-            g = to_undirected(g)
-        elif mode == "r":
-            g = filter_reciprocal(g)
-            if kind != "H":
-                g = TypedGraph(g.offsets, g.neighbors, g.kinds, g.spec,
-                               g.flags + (f"experimental:{kind}r",))
-        built.append(g)
+    for kind, mode in parse_graph_spec(spec):
+        if (kind, "d") not in parts:
+            parts[kind, "d"] = load_edge_file(os.path.join(edges_dir, f"edges.{kind}.tsv"),
+                                              nodes, kind)
+        if (kind, mode) not in parts:
+            g = parts[kind, "d"]
+            if mode == "u":
+                g = to_undirected(g)
+            else:
+                g = filter_reciprocal(g)
+                if kind != "H":
+                    g = TypedGraph(g.offsets, g.neighbors, g.kinds, g.spec,
+                                   g.flags + (f"experimental:{kind}r",))
+            parts[kind, mode] = g
+        built.append(parts[kind, mode])
     return merge(built) if len(built) > 1 else built[0]
 
 

@@ -102,8 +102,20 @@ def graph_from_arcs(n: int, arcs: set, spec: str = "Hd") -> gw.TypedGraph:
     return gw.TypedGraph.from_arcs(n, src, dst, spec=spec)
 
 
+def arc_arrays(g: gw.TypedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's arcs as int64 (src, dst) arrays in CSR order."""
+    src = np.repeat(np.arange(g.n_nodes, dtype=np.int64), g.out_degrees())
+    return src, g.neighbors.astype(np.int64)
+
+
+def has_arc(g: gw.TypedGraph, a: int, b: int) -> bool:
+    row = g.neighbors_of(a)
+    i = np.searchsorted(row, b)
+    return bool(i < len(row) and row[i] == b)
+
+
 def arc_set_of(g: gw.TypedGraph) -> set:
-    src, dst = g.arc_arrays()
+    src, dst = arc_arrays(g)
     return set(zip(src.tolist(), dst.tolist()))
 
 

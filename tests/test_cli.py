@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import sqlite3
 import struct
+import subprocess
+import sys
 from contextlib import closing
 
 import pytest
 
 from graphwalk import evaluation as eval_mod
+from graphwalk import graph as graph_mod
 from graphwalk import relatedness as rel_mod
 from graphwalk.cli import main
 from graphwalk.dictionary import Candidate, DictEntry, Dictionary, SqliteDictionary
@@ -170,6 +174,39 @@ def test_workspace_outputs_match_the_recorded_digests(workspace, tmp_path, monke
                for name, path in files.items()}
     digests["dict.sqlite rows"] = _sqlite_rows_digest(data / "dict.sqlite")
     assert digests == GOLDEN_DIGESTS
+
+
+def test_build_reads_each_edge_file_once(workspace, tmp_path, monkeypatch):
+    """Specs that share a kind share its parsed edge file and derived parts,
+    and each snapshot equals the spec built on its own."""
+    loads = []
+    load = graph_mod.load_edge_file
+
+    def counted(path, nodes, kind):
+        loads.append(kind)
+        return load(path, nodes, kind)
+
+    monkeypatch.setattr(graph_mod, "load_edge_file", counted)
+    out = tmp_path / "data"
+    assert main(["build", "--ingest-dir", str(workspace["ingest"]), "--out", str(out),
+                 "--specs", "Hr,Hu,HrCu"]) == 0
+    assert sorted(loads) == ["C", "H"]
+    nodes = graph_mod.load_nodes(str(out / "nodes.tsv"))
+    for spec in ("Hr", "Hu", "HrCu"):
+        alone = tmp_path / f"{spec}.gwkb"
+        graph_mod.save_snapshot(graph_mod.build_graph(spec, str(workspace["ingest"]), nodes),
+                                str(alone))
+        assert (out / f"graph.{spec}.gwkb").read_bytes() == alone.read_bytes()
+
+
+def test_importing_the_cli_does_not_import_scipy_stats():
+    """Every command starts from ``import graphwalk.cli``; scipy.stats alone
+    would add about 50 MiB and 0.6 s to each start."""
+    probe = "import graphwalk.cli, sys; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(graph_mod.__file__))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
 
 
 def test_build_rejects_unknown_spec_token(workspace, tmp_path, capsys):

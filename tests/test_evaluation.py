@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from graphwalk.errors import DataError
-from graphwalk.evaluation import (AccuracyResult, EvalReport, accuracy,
+from graphwalk.evaluation import (AccuracyResult, EvalReport, _average_ranks, accuracy,
                                   compare_prediction_files, fisher_z_test,
                                   load_redirect_map, load_rel_predictions,
                                   load_relatedness_pairs, paired_bootstrap, run_eval,
@@ -48,6 +51,33 @@ def test_spearman_matches_quadratic_oracle():
             continue
         assert spearman(gold, pred) == pytest.approx(
             spearman_oracle(gold.tolist(), pred.tolist()), abs=1e-12)
+
+
+# a small pool, so that drawn arrays tie often: signed zeros, infinities, NaN
+_TIED = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, math.inf, -math.inf, math.nan])
+_FREE = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TIED | _FREE, min_size=1, max_size=60))
+@example([7.0])
+@example([0.0, -0.0, 0.0, 1.0])
+@example([math.inf, -math.inf, 0.0, math.inf])
+@example([2.0, 1.0, 2.0, 2.0, 1.0])
+@example([1.0, math.nan, 2.0])
+def test_average_ranks_are_bitwise_scipy_rankdata(values):
+    x = np.array(values, dtype=np.float64)
+    ranks = _average_ranks(x)
+    expected = rankdata(x)
+    assert ranks.dtype == expected.dtype == np.float64
+    assert ranks.tobytes() == expected.tobytes()
+    if np.isnan(x).any():
+        assert np.isnan(ranks).all()
+
+
+def test_spearman_with_a_nan_is_nan():
+    assert math.isnan(spearman([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]))
+    assert math.isnan(spearman([1.0, 2.0, 3.0], [3.0, math.nan, 1.0]))
 
 
 def test_spearman_invariant_under_monotone_transform():
