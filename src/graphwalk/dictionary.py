@@ -187,7 +187,7 @@ class Dictionary:
 
         A negative id or count (or id >= ``n_nodes``) is a DataError; zero counts add nothing."""
         counts: dict[str, dict[int, int]] = {}
-        for lineno, cols in read_tsv(counts_path, 3, 3):
+        for lineno, cols in read_tsv(counts_path, 3, 3, header="mention\t"):
             try:
                 article, count = int(cols[1]), int(cols[2])
             except ValueError:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError
-from .tsv import read_tsv
+from .tsv import match_words, parse_decimals, read_table, read_tsv
 
 EDGE_KINDS = ("H", "I", "C")
 MODES = ("d", "u", "r")
@@ -195,30 +195,62 @@ def stats(g: TypedGraph) -> dict:
 
 
 class NodeTable:
-    """Dense node id <-> title mapping with node kinds."""
+    """Dense node id <-> title mapping with node kinds.
+
+    The titles are kept as UTF-8 bytes with each title's (start, end) in
+    them, as ``load_nodes`` found them in the file; a title is decoded only
+    when it is asked for."""
 
     def __init__(self, titles, kinds):
-        self.titles = titles
+        encoded = [title.encode("utf-8") for title in titles]
+        bounds = np.zeros(len(encoded) + 1, dtype=np.int64)
+        np.cumsum([len(title) for title in encoded], out=bounds[1:])
+        self._data, self._starts, self._ends = b"".join(encoded), bounds[:-1], bounds[1:]
         self.kinds = np.asarray(kinds, dtype=np.uint8)
         self._by_title = None
 
+    @classmethod
+    def _of_bytes(cls, data: bytes, starts, ends, kinds) -> "NodeTable":
+        """The table over titles ``data[starts[i]:ends[i]]``, not copied."""
+        table = cls((), kinds)
+        table._data, table._starts, table._ends = data, starts, ends
+        return table
+
     def __len__(self) -> int:
-        return len(self.titles)
+        return len(self._starts)
+
+    @property
+    def titles(self) -> list[str]:
+        """Every title, decoded."""
+        data = self._data
+        return [data[s:e].decode("utf-8")
+                for s, e in zip(self._starts.tolist(), self._ends.tolist())]
 
     def id_of(self, title: str):
         # built on first use: only the remote title resolver asks. Threads
         # that race here build equal maps, so no lock is needed
         by_title = self._by_title
         if by_title is None:
-            by_title = self._by_title = dict(zip(self.titles, range(len(self.titles))))
+            by_title = self._by_title = dict(zip(self.titles, range(len(self))))
         return by_title.get(title)
 
     def title_of(self, node_id: int) -> str:
-        return self.titles[node_id]
+        return self._data[self._starts[node_id]:self._ends[node_id]].decode("utf-8")
 
 
 def load_nodes(path: str) -> NodeTable:
-    """Read ``nodes.tsv`` (id, title, kind); ids must be dense and in order."""
+    """Read ``nodes.tsv`` (id, title, kind); ids must be dense and in order.
+
+    A canonical file (``read_table``) is checked on arrays and keeps its
+    bytes as the titles. Any other goes through the line loop, which accepts
+    what is lenient (``01``, `` 2 ``) and names the line of what is not."""
+    table = read_table(path, 3, "id\t")
+    if table is not None:
+        data, column = table
+        ids = parse_decimals(data, *column(0))
+        kinds = match_words(data, *column(2), NODE_KIND_NAMES)
+        if ids is not None and kinds is not None and np.array_equal(ids, np.arange(len(ids))):
+            return NodeTable._of_bytes(data, *column(1), kinds)
     titles: list[str] = []
     kinds = bytearray()
     for lineno, (nid, title, kind) in read_tsv(path, 3, 3, header="id\t"):
@@ -239,11 +271,21 @@ def load_nodes(path: str) -> NodeTable:
 
 
 def load_edge_file(path: str, nodes: NodeTable, kind: str) -> TypedGraph:
-    """Load one per-kind edge file as a directed graph over the node table."""
+    """Load one per-kind edge file as a directed graph over the node table.
+
+    A canonical file whose ids are all in range is read on arrays; any other
+    goes through the line loop, which names the line at fault."""
     n = len(nodes)
+    table = read_table(path, 2, "src_id\t")
+    if table is not None:
+        data, column = table
+        src, dst = (parse_decimals(data, *column(c)) for c in range(2))
+        if (src is not None and dst is not None
+                and max(src.max(initial=-1), dst.max(initial=-1)) < n):
+            return TypedGraph.from_arcs(n, src, dst, nodes.kinds, kind + "d")
     src: list[int] = []
     dst: list[int] = []
-    for lineno, cols in read_tsv(path, 2, 2):
+    for lineno, cols in read_tsv(path, 2, 2, header="src_id\t"):
         try:
             a, b = int(cols[0]), int(cols[1])
         except ValueError:

@@ -57,13 +57,6 @@ class ScoreVector:
         ids = np.flatnonzero(dense).astype(np.int64)
         return cls(ids, np.asarray(dense, dtype=np.float64)[ids], len(dense))
 
-    @classmethod
-    def from_pairs(cls, pairs, dim: int) -> "ScoreVector":
-        items = sorted((int(i), float(s)) for i, s in dict(pairs).items() if s != 0.0)
-        ids = np.array([i for i, _ in items], dtype=np.int64)
-        scores = np.array([s for _, s in items], dtype=np.float64)
-        return cls(ids, scores, dim)
-
     @property
     def nnz(self) -> int:
         return len(self.ids)
@@ -76,14 +69,6 @@ class ScoreVector:
         if i < len(self.ids) and self.ids[i] == node_id:
             return float(self.scores[i])
         return 0.0
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim, dtype=np.float64)
-        dense[self.ids] = self.scores
-        return dense
-
-    def items(self):
-        return zip(self.ids.tolist(), self.scores.tolist())
 
     def dot(self, other: "ScoreVector") -> float:
         common, ia, ib = np.intersect1d(self.ids, other.ids,

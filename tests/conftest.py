@@ -114,6 +114,24 @@ def has_arc(g: gw.TypedGraph, a: int, b: int) -> bool:
     return bool(i < len(row) and row[i] == b)
 
 
+def score_vector(pairs, dim: int) -> gw.ScoreVector:
+    """A score vector from an ``{id: score}`` mapping; zero scores are left out."""
+    items = sorted((int(i), float(s)) for i, s in dict(pairs).items() if s != 0.0)
+    return gw.ScoreVector(np.array([i for i, _ in items], dtype=np.int64),
+                          np.array([s for _, s in items], dtype=np.float64), dim)
+
+
+def to_dense(sv: gw.ScoreVector) -> np.ndarray:
+    dense = np.zeros(sv.dim, dtype=np.float64)
+    dense[sv.ids] = sv.scores
+    return dense
+
+
+def score_items(sv: gw.ScoreVector):
+    """The vector's (id, score) pairs in id order."""
+    return zip(sv.ids.tolist(), sv.scores.tolist())
+
+
 def arc_set_of(g: gw.TypedGraph) -> set:
     src, dst = arc_arrays(g)
     return set(zip(src.tolist(), dst.tolist()))
@@ -204,3 +222,54 @@ def write_lions_corpus(dir_path) -> dict:
     write_tsv(dir_path / "anchors.tsv", "anchor_text\tdst_title\tcount", anchors)
     return {"pages": dir_path / "pages.tsv", "links": dir_path / "links.tsv",
             "anchors": dir_path / "anchors.tsv"}
+
+
+# ---------------------------------------------------------------------------
+# a menu of mutations for the tab-separated files graphwalk writes
+
+# what each mutation does to a file's rows (lists of fields) or bytes
+FIELD_MUTATIONS = {
+    "leading_zero": lambda row: ["0" + row[0]] + row[1:],
+    "spaced_id": lambda row: [f" {row[0]} "] + row[1:],
+    "plus_id": lambda row: ["+" + row[0]] + row[1:],
+    "arabic_indic_id": lambda row: [row[0].translate(str.maketrans("0123456789",
+                                                                   "٠١٢٣٤٥٦٧٨٩"))] + row[1:],
+    "negative_id": lambda row: ["-1"] + row[1:],
+    "huge_id": lambda row: [str(2**64)] + row[1:],
+    "empty_id": lambda row: [""] + row[1:],
+    "unknown_kind": lambda row: row[:-1] + ["page"],
+    "missing_column": lambda row: row[:-1],
+    "extra_column": lambda row: row + ["x"],
+    "nul_byte": lambda row: row[:-1] + [row[-1] + "\x00"],
+    "out_of_range_id": lambda row: [str(10**6)] + row[1:],
+}
+BYTE_MUTATIONS = {
+    "crlf": lambda data, at: data.replace(b"\n", b"\r\n"),
+    "bom": lambda data, at: b"\xef\xbb\xbf" + data,
+    "empty_line": lambda data, at: data[:at] + b"\n" + data[at:],
+    "no_final_newline": lambda data, at: data[:-1],
+    "not_utf8": lambda data, at: data[:at] + b"\xff" + data[at:],
+}
+# a row with one tab too few next to one with a tab too many: the file's tab
+# count stays right
+TAB_MOVED = "tab_moved"
+MUTATIONS = [None, *FIELD_MUTATIONS, *BYTE_MUTATIONS, TAB_MOVED]
+
+
+def table_bytes(header: str, rows: list, mutation, pick: int) -> bytes:
+    """The file a writer gives for ``rows``, with ``mutation`` applied to row
+    ``pick`` (mod the row count)."""
+    rows = [list(row) for row in rows]
+    if mutation in FIELD_MUTATIONS and rows:
+        i = pick % len(rows)
+        rows[i] = FIELD_MUTATIONS[mutation](rows[i])
+    if mutation == TAB_MOVED and len(rows) > 1:
+        i = pick % (len(rows) - 1)
+        rows[i] = rows[i][:-2] + [rows[i][-2] + rows[i][-1]]
+        rows[i + 1] = rows[i + 1] + [rows[i + 1][-1]]
+    lines = [header] + ["\t".join(row) for row in rows]
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    if mutation in BYTE_MUTATIONS:
+        starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][:-1]
+        data = BYTE_MUTATIONS[mutation](data, starts[pick % len(starts)])
+    return data

@@ -22,7 +22,8 @@ from graphwalk.relatedness import ngd_relatedness
 
 from conftest import (LIONS_SENTENCE, dense_ppr, graph_from_arcs,
                       naive_reciprocal, naive_undirected, random_arc_set,
-                      spearman_oracle, write_lions_corpus, arc_set_of)
+                      score_vector, spearman_oracle, to_dense, write_lions_corpus,
+                      arc_set_of)
 
 
 def note(criterion: int, message: str) -> None:
@@ -47,7 +48,7 @@ def test_c01_walk_matches_dense_oracle_on_200_random_graphs():
         got = run_ppr(g, ScoreVector.from_dense(v_dense),
                       PprParams(alpha=alpha, iterations=iters, k=None))
         want = dense_ppr(n, arcs, v_dense, alpha, iters)
-        assert np.abs(got.to_dense() - want).sum() <= 1e-9
+        assert np.abs(to_dense(got) - want).sum() <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     note(1, f"200 random graphs match the dense oracle within 1e-9 L1 "
@@ -56,8 +57,8 @@ def test_c01_walk_matches_dense_oracle_on_200_random_graphs():
 
 def test_c02_two_node_closed_form():
     g = gw.TypedGraph.from_arcs(2, [0, 1], [1, 0])
-    v = ScoreVector.from_pairs({0: 1.0}, 2)
-    out = run_ppr(g, v, PprParams(alpha=0.85, iterations=200, k=None)).to_dense()
+    v = score_vector({0: 1.0}, 2)
+    out = to_dense(run_ppr(g, v, PprParams(alpha=0.85, iterations=200, k=None)))
     assert abs(out[0] - 0.5405405405405406) < 1e-6
     assert abs(out[1] - 0.4594594594594595) < 1e-6
     note(2, f"two-node walk converges to ({out[0]:.9f}, {out[1]:.9f})")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -8,9 +10,12 @@ import sqlite3
 import struct
 import subprocess
 import sys
+import tempfile
 from contextlib import closing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphwalk import evaluation as eval_mod
 from graphwalk import graph as graph_mod
@@ -20,7 +25,7 @@ from graphwalk.dictionary import Candidate, DictEntry, Dictionary, SqliteDiction
 from graphwalk.errors import DataError
 from graphwalk.ned import CachedHttpResolver
 
-from conftest import LIONS_SENTENCE, write_lions_corpus, write_tsv
+from conftest import LIONS_SENTENCE, MUTATIONS, table_bytes, write_lions_corpus, write_tsv
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +227,55 @@ def test_missing_snapshot_is_a_data_error(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "p.tsv")])
     assert rc == 2
     assert "graphwalk build" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,header", [("edges.H.tsv", "src_id\t"),
+                                         ("dict_counts.tsv", "mention\t")])
+def test_build_rejects_a_file_without_its_header_line(workspace, tmp_path, capsys, name,
+                                                      header):
+    """Without its header the first row was skipped unseen: an edge went
+    missing, or a mention's count, and the build exited 0."""
+    ingest = tmp_path / "ingested"
+    shutil.copytree(workspace["ingest"], ingest)
+    text = (ingest / name).read_text(encoding="utf-8")
+    assert text.startswith(header)
+    (ingest / name).write_text(text.split("\n", 1)[1], encoding="utf-8")
+    rc = main(["build", "--ingest-dir", str(ingest), "--out", str(tmp_path / "data"),
+               "--specs", "Hr"])
+    assert rc == 2
+    assert f"{ingest / name}: missing header line" in capsys.readouterr().err
+
+
+def _mutant_run(command: str, workdir: str, workspace, out: str) -> list[str]:
+    if command == "build":
+        return ["build", "--ingest-dir", workdir, "--out", out, "--specs", "Hr,HrCu"]
+    if command == "rel":
+        return ["rel", "--data", workdir, "--pairs", str(workspace["pairs"]), "--out", out]
+    return ["ned", "--data", workdir, "--queries", str(workspace["queries"]), "--out", out,
+            "--workers", "1"]
+
+
+@given(st.sampled_from([("build", "nodes.tsv"), ("build", "edges.H.tsv"),
+                        ("build", "edges.C.tsv"), ("rel", "nodes.tsv"),
+                        ("ned", "nodes.tsv")]),
+       st.sampled_from(MUTATIONS[1:]), st.integers(0, 100))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_mutated_node_or_edge_file_exits_0_or_names_the_file(workspace, target, mutation,
+                                                              pick):
+    command, name = target
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = os.path.join(tmp, "in")
+        shutil.copytree(workspace["ingest" if command == "build" else "data"], workdir)
+        path = os.path.join(workdir, name)
+        with open(path, encoding="utf-8") as fh:
+            header, *lines = fh.read().splitlines()
+        with open(path, "wb") as fh:
+            fh.write(table_bytes(header, [line.split("\t") for line in lines], mutation, pick))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(_mutant_run(command, workdir, workspace, os.path.join(tmp, "out")))
+    assert rc in (0, 2)
+    assert rc == 0 or path in err.getvalue()
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from graphwalk.graph import (build_graph, load_edge_file, load_nodes,
 from graphwalk.ppr import PprEngine, PprParams, ScoreVector
 
 from conftest import (arc_arrays, arc_set_of, graph_from_arcs, has_arc, naive_merge,
-                      naive_reciprocal, naive_undirected, random_arc_set)
+                      naive_reciprocal, naive_undirected, random_arc_set, score_vector)
 
 
 def test_from_arcs_basic():
@@ -278,7 +278,7 @@ def test_derived_state_is_built_once_under_racing_threads(monkeypatch):
                         slow("engine", gw.ppr.PprEngine.__init__))
     rng = np.random.default_rng(3)
     g = graph_from_arcs(30, random_arc_set(rng, 30))
-    teleport = gw.ScoreVector.from_pairs({0: 1.0}, 30)
+    teleport = score_vector({0: 1.0}, 30)
     start = threading.Barrier(8, timeout=30)
 
     def race(i):

@@ -14,7 +14,8 @@ from graphwalk.dictionary import Candidate, DictEntry
 from graphwalk.ppr import (_BLOCK_COLUMNS, NoContextError, PprEngine, PprParams,
                            ScoreVector, build_teleport, run_ppr, truncate_ppv)
 
-from conftest import dense_ppr, graph_from_arcs, random_arc_set
+from conftest import (dense_ppr, graph_from_arcs, random_arc_set, score_items, score_vector,
+                      to_dense)
 
 
 def entry(mention, *cands):
@@ -40,20 +41,20 @@ def test_default_params_match_standard_run():
 
 def test_teleport_single_mention_uses_priors():
     v = build_teleport([entry("m", (0, 7, 0.7), (1, 3, 0.3))], 4)
-    assert v.to_dense().tolist() == [0.7, 0.3, 0.0, 0.0]
+    assert to_dense(v).tolist() == [0.7, 0.3, 0.0, 0.0]
 
 
 def test_teleport_uniform_when_prior_disabled():
     v = build_teleport([entry("m", (0, 7, 0.7), (1, 2, 0.2), (2, 1, 0.1))], 4,
                        prior_init=False)
-    assert np.allclose(v.to_dense(), [1 / 3, 1 / 3, 1 / 3, 0.0])
+    assert np.allclose(to_dense(v), [1 / 3, 1 / 3, 1 / 3, 0.0])
 
 
 def test_teleport_sums_across_mentions_then_renormalizes():
     m1 = entry("a", (0, 1, 1.0))
     m2 = entry("b", (0, 1, 0.5), (1, 1, 0.5))
     v = build_teleport([m1, m2], 3)
-    assert np.allclose(v.to_dense(), [0.75, 0.25, 0.0])
+    assert np.allclose(to_dense(v), [0.75, 0.25, 0.0])
 
 
 def test_teleport_requires_a_usable_mention():
@@ -67,13 +68,13 @@ def test_zero_iterations_returns_teleport():
     g = gw.TypedGraph.from_arcs(3, [0, 1], [1, 2])
     v = build_teleport([entry("m", (0, 1, 1.0))], 3)
     out = run_ppr(g, v, PprParams(iterations=0))
-    assert out.to_dense().tolist() == v.to_dense().tolist()
+    assert to_dense(out).tolist() == to_dense(v).tolist()
 
 
 def test_two_node_cycle_closed_form():
     g = gw.TypedGraph.from_arcs(2, [0, 1], [1, 0])
     v = build_teleport([entry("m", (0, 1, 1.0))], 2)
-    out = run_ppr(g, v, PprParams(iterations=200)).to_dense()
+    out = to_dense(run_ppr(g, v, PprParams(iterations=200)))
     assert abs(out[0] - 20 / 37) < 1e-6
     assert abs(out[1] - 17 / 37) < 1e-6
 
@@ -94,7 +95,7 @@ def test_matches_dense_oracle_with_dangling_nodes():
         alpha = float(rng.uniform(0.5, 0.99))
         got = run_ppr(g, v, PprParams(alpha=alpha, iterations=iters, k=None))
         want = dense_ppr(n, arcs, v_dense, alpha, iters)
-        assert np.abs(got.to_dense() - want).sum() <= 1e-9
+        assert np.abs(to_dense(got) - want).sum() <= 1e-9
 
 
 def test_output_is_probability_vector():
@@ -112,7 +113,7 @@ def test_mass_stays_in_teleported_component():
     # nodes 0-2 one component, 3-5 another
     g = gw.TypedGraph.from_arcs(6, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3])
     v = build_teleport([entry("m", (0, 1, 1.0))], 6)
-    out = run_ppr(g, v, PprParams(iterations=40)).to_dense()
+    out = to_dense(run_ppr(g, v, PprParams(iterations=40)))
     assert out[:3].sum() == pytest.approx(1.0, abs=1e-12)
     assert out[3:].sum() == 0.0
 
@@ -197,7 +198,7 @@ def test_block_walk_equals_one_walk_oracle_bitwise(seed, count, iterations):
     got = list(PprEngine(g).run_many(teleports, params))
     assert len(got) == count
     for teleport, block_ppv in zip(teleports, got):
-        assert block_ppv.to_dense().tobytes() == one_walk_oracle(g, teleport, params).tobytes()
+        assert to_dense(block_ppv).tobytes() == one_walk_oracle(g, teleport, params).tobytes()
 
 
 def dense_block_oracle(g, teleports: list[ScoreVector], params: PprParams) -> list:
@@ -273,25 +274,25 @@ def test_repeat_runs_are_bitwise_identical():
 
 
 def test_truncate_keeps_top_k():
-    sv = ScoreVector.from_pairs({0: 0.5, 1: 0.3, 2: 0.2}, 5)
+    sv = score_vector({0: 0.5, 1: 0.3, 2: 0.2}, 5)
     out = truncate_ppv(sv, 2)
-    assert dict(out.items()) == {0: 0.5, 1: 0.3}
+    assert dict(score_items(out)) == {0: 0.5, 1: 0.3}
 
 
 def test_truncate_noop_when_k_large_or_none():
-    sv = ScoreVector.from_pairs({0: 0.5, 1: 0.5}, 4)
+    sv = score_vector({0: 0.5, 1: 0.5}, 4)
     assert truncate_ppv(sv, 2) is sv
     assert truncate_ppv(sv, None) is sv
 
 
 def test_truncate_breaks_ties_by_lower_id():
-    sv = ScoreVector.from_pairs({0: 0.4, 1: 0.3, 2: 0.3}, 5)
+    sv = score_vector({0: 0.4, 1: 0.3, 2: 0.3}, 5)
     out = truncate_ppv(sv, 2)
-    assert dict(out.items()) == {0: 0.4, 1: 0.3}
+    assert dict(score_items(out)) == {0: 0.4, 1: 0.3}
     # and with ids reversed in score order
-    sv2 = ScoreVector.from_pairs({0: 0.3, 1: 0.3, 2: 0.4}, 5)
+    sv2 = score_vector({0: 0.3, 1: 0.3, 2: 0.4}, 5)
     out2 = truncate_ppv(sv2, 2)
-    assert dict(out2.items()) == {0: 0.3, 2: 0.4}
+    assert dict(score_items(out2)) == {0: 0.3, 2: 0.4}
 
 
 def lexsort_truncate(ppv: ScoreVector, k: int | None) -> ScoreVector:
@@ -323,11 +324,11 @@ def test_truncate_equals_lexsort_oracle(scores, rnd, which, any_k):
 
 
 def test_score_vector_helpers():
-    sv = ScoreVector.from_pairs({3: 0.25, 1: 0.75}, 6)
+    sv = score_vector({3: 0.25, 1: 0.75}, 6)
     assert sv.nnz == 2
     assert sv.get(1) == 0.75
     assert sv.get(2) == 0.0
     assert sv.total() == 1.0
-    other = ScoreVector.from_pairs({3: 0.5, 5: 0.5}, 6)
+    other = score_vector({3: 0.5, 5: 0.5}, 6)
     assert sv.dot(other) == 0.25 * 0.5
 

@@ -7,12 +7,12 @@ import pytest
 
 import graphwalk as gw
 from graphwalk.dictionary import Dictionary
-from graphwalk.ppr import PprParams, ScoreVector, build_teleport, run_ppr, truncate_ppv
+from graphwalk.ppr import PprParams, build_teleport, run_ppr, truncate_ppv
 from graphwalk.relatedness import (UnknownTermError, combine_scores, cosine,
                                    ngd_relate, ngd_relatedness, relate,
                                    score_pairs, term_ppv)
 
-from conftest import graph_from_arcs, naive_ngd_score, random_arc_set
+from conftest import graph_from_arcs, naive_ngd_score, random_arc_set, score_vector
 
 
 @pytest.fixture(scope="module")
@@ -257,8 +257,8 @@ def test_combine_scores_validates_range():
 
 
 def test_cosine_zero_vectors():
-    a = ScoreVector.from_pairs({}, 4)
-    b = ScoreVector.from_pairs({1: 1.0}, 4)
+    a = score_vector({}, 4)
+    b = score_vector({1: 1.0}, 4)
     assert cosine(a, b) == 0.0
     assert cosine(a, a) == 0.0
 
