@@ -137,7 +137,8 @@ def _load_runtime(data_dir: str, spec: str, sqlite_dict: bool = False):
     nodes = graph_mod.load_nodes(nodes_path)
     graph = graph_mod.load_snapshot(graph_path)
     if graph.n_nodes != len(nodes):
-        raise DataError("graph snapshot does not match nodes.tsv")
+        raise DataError(f"graph snapshot {graph_path} has {graph.n_nodes} nodes but "
+                        f"{nodes_path} has {len(nodes)}")
     dict_path = os.path.join(data_dir, "dict.sqlite" if sqlite_dict else "dict.gwdict")
     if not os.path.exists(dict_path):
         kind, flag = ("database", " --sqlite-dict") if sqlite_dict else ("snapshot", "")

@@ -64,12 +64,6 @@ class ScoreVector:
     def total(self) -> float:
         return float(self.scores.sum())
 
-    def get(self, node_id: int) -> float:
-        i = np.searchsorted(self.ids, node_id)
-        if i < len(self.ids) and self.ids[i] == node_id:
-            return float(self.scores[i])
-        return 0.0
-
     def dot(self, other: "ScoreVector") -> float:
         common, ia, ib = np.intersect1d(self.ids, other.ids,
                                         assume_unique=True, return_indices=True)
@@ -135,13 +129,16 @@ class PprEngine:
         self._mt = m.T  # csc view; y = M^T p
         self._arcs = outdeg  # arcs per column of the view
         self._dangling = np.flatnonzero(~nz)
+        self._graph = graph  # its reverse graph is built by the first walk with reads
         self.n_nodes = n
 
     def run(self, teleport: ScoreVector, params: PprParams) -> ScoreVector:
         return next(self.run_many([teleport], params))
 
-    def run_many(self, teleports, params: PprParams):
-        """Yield one walk result per teleport, in order.
+    def run_many(self, teleports, params: PprParams, reads=None):
+        """Yield one walk result per teleport, in order: a ``ScoreVector``,
+        or with ``reads`` (one array of node ids per teleport) the walk's
+        float64 scores at those ids.
 
         Teleports are walked ``_BLOCK_COLUMNS`` at a time as the columns of a
         dense block, one sparse-matrix product per iteration; every column is
@@ -156,8 +153,15 @@ class PprEngine:
         a skipped row would add ``a * 0.0`` to a non-negative sum, and the
         selected columns keep their order, so every output entry is summed in
         the same order as by the full product.
+
+        With ``reads``, the last iterations compute only the rows the read
+        scores depend on (``_cone``), each from its in-neighbours in
+        ascending order over the reverse graph's CSR: the order in which the
+        full product sums it, with the same multiply-adds.
         """
         teleports = iter(teleports)
+        if reads is not None:
+            reads = iter(reads)
         frontier_arcs = _FRONTIER_ARCS * self._mt.nnz
         while block := list(itertools.islice(teleports, _BLOCK_COLUMNS)):
             p = np.zeros((self.n_nodes, len(block)), dtype=np.float64)
@@ -169,25 +173,98 @@ class PprEngine:
                 p[teleport.ids, j] = teleport.scores
                 start[teleport.ids] = True
             rows = np.flatnonzero(start)
-            for _ in range(params.iterations):
+            cone = []
+            if reads is not None:
+                block_reads = [self._read_ids(next(reads, None)) for _ in block]
+                cone = self._cone(block_reads, params.iterations, frontier_arcs)
+            first_cone = params.iterations - len(cone)
+            at = None  # the ids of p's rows, once it holds only the cone's
+            for i in range(params.iterations):
+                dangling = self._dangling if at is None else np.searchsorted(at, self._dangling)
                 # per-column dangling mass, summed in the same order as a 1-D sum
-                d = np.ascontiguousarray(p[self._dangling].T).sum(axis=1)
-                if rows is not None and self._arcs[rows].sum() < frontier_arcs:
+                d = np.ascontiguousarray(p[dangling].T).sum(axis=1)
+                if i >= first_cone:
+                    level = cone[i - first_cone]
+                    p, at = self._cone_product(level, at).dot(p), level
+                elif rows is not None and self._arcs[rows].sum() < frontier_arcs:
                     frontier = self._mt[:, rows]
-                    p = frontier.dot(p[rows])
+                    p = p[rows]  # frees the block before the product allocates the next
+                    p = frontier.dot(p)
                     reached = start.copy()
                     reached[frontier.indices] = True
                     rows = np.flatnonzero(reached)
-                else:  # the rest of the block's iterations multiply every row
+                else:  # the middle iterations multiply every row
                     rows = None
                     p = self._mt.dot(p)
                 p *= params.alpha
                 c = params.alpha * d + 1.0 - params.alpha
                 for j, teleport in enumerate(block):
-                    p[teleport.ids, j] += c[j] * teleport.scores
+                    if at is None:
+                        p[teleport.ids, j] += c[j] * teleport.scores
+                    else:
+                        k = np.searchsorted(at, teleport.ids)
+                        held = k < len(at)
+                        held[held] = at[k[held]] == teleport.ids[held]
+                        p[k[held], j] += c[j] * teleport.scores[held]
+            if reads is not None:
+                for j, ids in enumerate(block_reads):
+                    yield p[ids if at is None else np.searchsorted(at, ids), j]
+                continue
             p = np.ascontiguousarray(p.T)
             for row in p:
                 yield ScoreVector.from_dense(row)
+        if reads is not None and next(reads, None) is not None:
+            raise ValueError("more reads than teleports")
+
+    def _read_ids(self, ids) -> np.ndarray:
+        if ids is None:
+            raise ValueError("fewer reads than teleports")
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.n_nodes):
+            raise ValueError(f"read id outside [0, {self.n_nodes})")
+        return ids
+
+    def _cone(self, reads, iterations: int, max_arcs: float) -> list:
+        """The backward cone of a block's reads: ``[S_{T-L+1}, ..., S_T]``,
+        the sorted rows that each of the last ``L`` of ``T`` iterations
+        computes. ``S_T`` is every read id, and ``S_{t-1}`` is the
+        in-neighbours of ``S_t`` plus the dangling rows, whose mass sets each
+        step's teleport weight. A level joins while its rows' in-arcs stay
+        under ``max_arcs``, up to all ``T`` iterations."""
+        rev = self._graph.reverse()
+        rows = np.unique(np.concatenate(reads))
+        levels = []
+        while len(levels) < iterations:
+            if (rev.offsets[rows + 1] - rev.offsets[rows]).sum() >= max_arcs:
+                break
+            levels.append(rows)
+            below = np.zeros(self.n_nodes, dtype=bool)
+            below[self._dangling] = True
+            below[rev.neighbors[_row_ranges(rev.offsets, rows)[0]]] = True
+            rows = np.flatnonzero(below)
+        return levels[::-1]
+
+    def _cone_product(self, rows: np.ndarray, cols) -> sparse.csr_matrix:
+        """The rows ``rows`` of ``M^T``, over the columns ``cols`` (None: all),
+        which hold every in-neighbour of ``rows``."""
+        rev = self._graph.reverse()
+        arcs, indptr = _row_ranges(rev.offsets, rows)
+        src = rev.neighbors[arcs]
+        weights = 1.0 / self._arcs[src]  # as __init__ weights each arc
+        width = self.n_nodes
+        if cols is not None:
+            src, width = np.searchsorted(cols, src), len(cols)
+        return sparse.csr_matrix((weights, src, indptr), shape=(len(rows), width))
+
+
+def _row_ranges(offsets: np.ndarray, rows: np.ndarray):
+    """The arc positions of ``rows`` in a CSR, row after row, and their row
+    pointer."""
+    lo = offsets[rows]
+    counts = offsets[rows + 1] - lo
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], counts), indptr
 
 
 def _engine_for(graph: TypedGraph) -> PprEngine:

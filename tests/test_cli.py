@@ -246,6 +246,21 @@ def test_build_rejects_a_file_without_its_header_line(workspace, tmp_path, capsy
     assert f"{ingest / name}: missing header line" in capsys.readouterr().err
 
 
+def test_a_node_table_one_row_short_names_both_files(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    lines = (data / "nodes.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (data / "nodes.tsv").write_text("".join(lines[:-1]), encoding="utf-8")
+    rc = main(["rel", "--data", str(data), "--pairs", str(workspace["pairs"]),
+               "--out", str(tmp_path / "rel.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(data / "nodes.tsv") in err
+    assert str(data / "graph.Hr.gwkb") in err
+    n = len(lines) - 1  # rows below the header
+    assert f"{n} nodes" in err and f"has {n - 1}" in err
+
+
 def _mutant_run(command: str, workdir: str, workspace, out: str) -> list[str]:
     if command == "build":
         return ["build", "--ingest-dir", workdir, "--out", out, "--specs", "Hr,HrCu"]

@@ -6,11 +6,13 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import graphwalk as gw
+from graphwalk import ppr
 from graphwalk.dictionary import Candidate, Dictionary
 from graphwalk.graph import NodeTable
 from graphwalk.ned import (CachedHttpResolver, NedQuery, disambiguate,
@@ -331,6 +333,37 @@ def test_baseline_systems_build_no_walk_engine(lions, system):
         assert run_batch(queries, None, store, system="mfs", workers=2) == preds
     run_batch(queries, graph, store, workers=2)
     assert graph._engine is not None
+
+
+@pytest.mark.parametrize("share, levels", [(1.01, 15), (0.0, 0)],
+                         ids=["cone_every_iteration", "no_cone"])
+def test_run_batch_predictions_do_not_depend_on_the_cone(lions, share, levels):
+    graph, store, nodes, query = lions
+    queries = chunk_boundary_queries(query, 33)
+    want = run_batch(queries, graph, store, workers=2)
+    cones = []
+    cone = ppr.PprEngine._cone
+
+    def counting_cone(self, *args):
+        rows = cone(self, *args)
+        cones.append(len(rows))
+        return rows
+
+    with mock.patch.object(ppr, "_FRONTIER_ARCS", share), \
+            mock.patch.object(ppr.PprEngine, "_cone", counting_cone):
+        assert run_batch(queries, build_lions_graph(), store, workers=2) == want
+    assert set(cones) == {levels}
+
+
+def test_ngd_reads_the_reverse_graph_the_walks_built(lions):
+    _, store, nodes, query = lions
+    graph = build_lions_graph()
+    queries = chunk_boundary_queries(query, 33)
+    run_batch(queries, graph, store, workers=2)
+    reverse = graph._reverse
+    assert reverse is not None
+    run_batch(queries, graph, store, system="ngd", workers=2)
+    assert graph.reverse() is reverse
 
 
 def test_run_batch_rejects_unknown_system(lions):

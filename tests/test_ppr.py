@@ -262,6 +262,51 @@ def test_frontier_walk_equals_the_dense_block_loop_bitwise(share, seed, count, i
         assert a.scores.tobytes() == b.scores.tobytes()
 
 
+@pytest.mark.parametrize("share", [0.0, 1.01, None], ids=["never_cone", "always_cone",
+                                                            "default"])
+@given(seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([0, 1, _BLOCK_COLUMNS, _BLOCK_COLUMNS + 1, 37]),
+       iterations=st.sampled_from([0, 1, 2, 5, 15]),
+       sparse_graph=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_read_scores_equal_the_dense_block_loop_bitwise(share, seed, count, iterations,
+                                                        sparse_graph):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 120))
+    density = 2.0 / n if sparse_graph else None
+    g = graph_from_arcs(n, random_arc_set(rng, n, density, force_dangling=True))
+    dangling = np.flatnonzero(g.out_degrees() == 0)
+    pool = rng.choice(n, size=min(n, 6), replace=False)
+    teleports, reads = [], []
+    for _ in range(count):
+        dense = np.zeros(n)
+        ids = rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)
+        dense[ids] = rng.random(len(ids)) + 0.1
+        teleports.append(ScoreVector.from_dense(dense / dense.sum()))
+        # any ids, so some unreached, drawn with repeats, plus some dangling ones
+        picked = [rng.integers(0, n, int(rng.integers(0, 6))),
+                  rng.choice(dangling, size=int(rng.integers(0, 3))) if dangling.size else []]
+        reads.append(rng.permutation(np.concatenate(picked).astype(np.int64)))
+    params = PprParams(alpha=float(rng.uniform(0.5, 0.99)), iterations=iterations)
+    with mock.patch.object(ppr, "_FRONTIER_ARCS",
+                           ppr._FRONTIER_ARCS if share is None else share):
+        got = list(PprEngine(g).run_many(iter(teleports), params, reads=iter(reads)))
+    want = dense_block_oracle(g, teleports, params)
+    assert len(got) == len(want) == count
+    for scores, ids, vector in zip(got, reads, want):
+        assert scores.dtype == np.float64
+        assert scores.tobytes() == to_dense(vector)[ids].tobytes()
+
+
+@pytest.mark.parametrize("reads", [[[0]], [[0], [1], [2]], [[0], [3]], [[0], [-1]]],
+                         ids=["fewer", "more", "id_n", "negative_id"])
+def test_reads_of_the_wrong_length_or_outside_the_graph_are_hard_errors(reads):
+    g = gw.TypedGraph.from_arcs(3, [0], [1])
+    v = build_teleport([entry("m", (0, 1, 1.0))], 3)
+    with pytest.raises(ValueError):
+        list(PprEngine(g).run_many([v, v], PprParams(), reads=reads))
+
+
 def test_repeat_runs_are_bitwise_identical():
     rng = np.random.default_rng(13)
     n = 30
@@ -326,8 +371,8 @@ def test_truncate_equals_lexsort_oracle(scores, rnd, which, any_k):
 def test_score_vector_helpers():
     sv = score_vector({3: 0.25, 1: 0.75}, 6)
     assert sv.nnz == 2
-    assert sv.get(1) == 0.75
-    assert sv.get(2) == 0.0
+    assert to_dense(sv)[1] == 0.75
+    assert to_dense(sv)[2] == 0.0
     assert sv.total() == 1.0
     other = score_vector({3: 0.5, 5: 0.5}, 6)
     assert sv.dot(other) == 0.25 * 0.5

@@ -131,6 +131,16 @@ def test_score_pairs_walks_each_distinct_term_once(monkeypatch):
                    for t1, t2, _ in rows]
 
 
+def test_ppr_relatedness_builds_no_reverse_graph():
+    rng = np.random.default_rng(5)
+    g = graph_from_arcs(60, random_arc_set(rng, 60, force_dangling=True))
+    d = Dictionary.from_counts({f"t{i}": {int(rng.integers(60)): 1} for i in range(6)})
+    score_pairs([("t0", "t1", None), ("t2", "t3", 1.0)], g, d, None, "ppr", "skip")
+    run_ppr(g, build_teleport([d.lookup("t4")], 60))
+    assert g._engine is not None
+    assert g._reverse is None
+
+
 @pytest.fixture(scope="module")
 def term_world():
     """A random graph with dangling nodes and 40 terms of three candidates each."""
