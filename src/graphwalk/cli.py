@@ -65,11 +65,13 @@ def _parse_config_file(path: str, task: str) -> dict:
                     raise DataError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
                 if key == "k" and task == "ned" and out[key] is not None:
                     raise DataError(f"{path}:{lineno}: k applies to rel only")
-                if key in ("alpha", "iterations", "k"):
-                    try:
+                try:
+                    if key == "spec":
+                        graph_mod.parse_graph_spec(value)
+                    elif key in ("alpha", "iterations", "k"):
                         PprParams(**{key: out[key]})
-                    except ValueError as exc:
-                        raise DataError(f"{path}:{lineno}: {exc}") from None
+                except (ValueError, DataError) as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
         except UnicodeDecodeError:
             raise DataError(f"{path}:{_undecodable_line(path)}: invalid UTF-8") from None
     return out
@@ -186,6 +188,8 @@ def cmd_build(args) -> int:
 
 def cmd_run(args) -> int:
     """``rel`` and ``ned``: one ``run_eval`` run, then the task's summary line."""
+    if args.task == "ned" and args.resolver_cache and not args.resolver_url:
+        raise UsageError("--resolver-cache applies only with --resolver-url")
     opts = _resolve(args, args.task)
     params = _walk_params(opts["alpha"], opts["iterations"], opts["k"], opts["prior"])
     nodes, graph, store = _load_runtime(args.data, opts["spec"], args.sqlite_dict)
@@ -374,7 +378,8 @@ def build_parser() -> _Parser:
     p.add_argument("--context-only-teleport", action="store_true",
                    help="exclude the target's own candidates from the teleport")
     p.add_argument("--resolver-url", help="title search endpoint with {query}")
-    p.add_argument("--resolver-cache")
+    p.add_argument("--resolver-cache", help="with --resolver-url: its cache file "
+                   "(default DATA/resolver_cache.json)")
     p.set_defaults(func=cmd_run, task="ned")
 
     p = sub.add_parser("eval", help="score emitted prediction files")

@@ -51,7 +51,7 @@ class TypedGraph:
     """
 
     __slots__ = ("offsets", "neighbors", "kinds", "spec", "flags",
-                 "_reverse", "_engine", "_non_isolated")
+                 "_reverse", "_engine", "_non_isolated", "__weakref__")
 
     def __init__(self, offsets, neighbors, kinds, spec="", flags=()):
         self.offsets = offsets        # int64[n+1]
@@ -120,9 +120,7 @@ class TypedGraph:
         return self._derived("_reverse", self._build_reverse)
 
     def _build_reverse(self) -> "TypedGraph":
-        rev = _from_adjacency(_adjacency(self).T, self.kinds, self.spec, self.flags)
-        rev._reverse = self
-        return rev
+        return _from_adjacency(_adjacency(self).T, self.kinds, self.spec, self.flags)
 
     def in_neighbors_of(self, u: int) -> np.ndarray:
         return self.reverse().neighbors_of(u)

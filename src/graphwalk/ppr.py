@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,9 @@ class PprEngine:
     on dangling nodes is redistributed along the teleport vector each step,
     which keeps every iterate a probability vector and keeps mass that cannot
     walk anywhere near the query. Stateless between calls, so one engine can
-    serve concurrent queries.
+    serve concurrent queries. It holds its graph weakly, so a graph that
+    caches its engine is freed without a GC pass; a walk with ``reads``
+    needs the graph kept alive.
     """
 
     def __init__(self, graph: TypedGraph):
@@ -129,7 +132,7 @@ class PprEngine:
         self._mt = m.T  # csc view; y = M^T p
         self._arcs = outdeg  # arcs per column of the view
         self._dangling = np.flatnonzero(~nz)
-        self._graph = graph  # its reverse graph is built by the first walk with reads
+        self._graph = weakref.ref(graph)  # its reverse is built by the first walk with reads
         self.n_nodes = n
 
     def run(self, teleport: ScoreVector, params: PprParams) -> ScoreVector:
@@ -157,7 +160,10 @@ class PprEngine:
         With ``reads``, the last iterations compute only the rows the read
         scores depend on (``_cone``), each from its in-neighbours in
         ascending order over the reverse graph's CSR: the order in which the
-        full product sums it, with the same multiply-adds.
+        full product sums it, with the same multiply-adds. A cone iteration
+        writes only its level's rows into the block; the rest go stale, and
+        nothing reads them again: each level holds the next level's
+        in-neighbours and the dangling rows, and the last holds the reads.
         """
         teleports = iter(teleports)
         if reads is not None:
@@ -178,37 +184,30 @@ class PprEngine:
                 block_reads = [self._read_ids(next(reads, None)) for _ in block]
                 cone = self._cone(block_reads, params.iterations, frontier_arcs)
             first_cone = params.iterations - len(cone)
-            at = None  # the ids of p's rows, once it holds only the cone's
             for i in range(params.iterations):
-                dangling = self._dangling if at is None else np.searchsorted(at, self._dangling)
                 # per-column dangling mass, summed in the same order as a 1-D sum
-                d = np.ascontiguousarray(p[dangling].T).sum(axis=1)
-                if i >= first_cone:
+                d = np.ascontiguousarray(p[self._dangling].T).sum(axis=1)
+                if i >= first_cone:  # rows outside the level go stale: none is read again
                     level = cone[i - first_cone]
-                    p, at = self._cone_product(level, at).dot(p), level
+                    p[level] = self._cone_product(level).dot(p) * params.alpha
                 elif rows is not None and self._arcs[rows].sum() < frontier_arcs:
                     frontier = self._mt[:, rows]
                     p = p[rows]  # frees the block before the product allocates the next
                     p = frontier.dot(p)
+                    p *= params.alpha
                     reached = start.copy()
                     reached[frontier.indices] = True
                     rows = np.flatnonzero(reached)
                 else:  # the middle iterations multiply every row
                     rows = None
                     p = self._mt.dot(p)
-                p *= params.alpha
+                    p *= params.alpha
                 c = params.alpha * d + 1.0 - params.alpha
                 for j, teleport in enumerate(block):
-                    if at is None:
-                        p[teleport.ids, j] += c[j] * teleport.scores
-                    else:
-                        k = np.searchsorted(at, teleport.ids)
-                        held = k < len(at)
-                        held[held] = at[k[held]] == teleport.ids[held]
-                        p[k[held], j] += c[j] * teleport.scores[held]
+                    p[teleport.ids, j] += c[j] * teleport.scores
             if reads is not None:
                 for j, ids in enumerate(block_reads):
-                    yield p[ids if at is None else np.searchsorted(at, ids), j]
+                    yield p[ids, j]
                 continue
             p = np.ascontiguousarray(p.T)
             for row in p:
@@ -231,7 +230,7 @@ class PprEngine:
         in-neighbours of ``S_t`` plus the dangling rows, whose mass sets each
         step's teleport weight. A level joins while its rows' in-arcs stay
         under ``max_arcs``, up to all ``T`` iterations."""
-        rev = self._graph.reverse()
+        rev = self._graph().reverse()
         rows = np.unique(np.concatenate(reads))
         levels = []
         while len(levels) < iterations:
@@ -244,17 +243,13 @@ class PprEngine:
             rows = np.flatnonzero(below)
         return levels[::-1]
 
-    def _cone_product(self, rows: np.ndarray, cols) -> sparse.csr_matrix:
-        """The rows ``rows`` of ``M^T``, over the columns ``cols`` (None: all),
-        which hold every in-neighbour of ``rows``."""
-        rev = self._graph.reverse()
+    def _cone_product(self, rows: np.ndarray) -> sparse.csr_matrix:
+        """The rows ``rows`` of ``M^T``."""
+        rev = self._graph().reverse()
         arcs, indptr = _row_ranges(rev.offsets, rows)
         src = rev.neighbors[arcs]
         weights = 1.0 / self._arcs[src]  # as __init__ weights each arc
-        width = self.n_nodes
-        if cols is not None:
-            src, width = np.searchsorted(cols, src), len(cols)
-        return sparse.csr_matrix((weights, src, indptr), shape=(len(rows), width))
+        return sparse.csr_matrix((weights, src, indptr), shape=(len(rows), self.n_nodes))
 
 
 def _row_ranges(offsets: np.ndarray, rows: np.ndarray):

@@ -1044,12 +1044,15 @@ def test_scoring_errors_are_data_errors(workspace, tmp_path, capsys, scores,
     ("ned", ["--k", "10"], None, 1, "unrecognized arguments: --k 10"),
     ("ned", [], "# walk\nk=10\n", 2, "run.cfg:2: k applies to rel only"),
     ("sweep", ["--ks", "10,100"], None, 1, "--ks applies to --task rel only"),
+    ("rel", [], "# graph\nspec=Zz\n", 2, "run.cfg:2: bad graph spec 'Zz'"),
+    ("ned", ["--resolver-cache", "cache.json"], None, 1,
+     "--resolver-cache applies only with --resolver-url"),
 ], ids=["alpha_flag", "negative_iterations", "sweep_alphas", "config_alpha",
         "config_prior", "sweep_system_for_task", "config_typo_key", "config_seed_key",
         "rel_seed", "ned_seed", "sweep_seed", "ned_sweep_on_unknown", "sweep_priors",
         "config_alpha_range", "config_iterations_range", "config_k_range",
         "rel_zero_workers", "ned_negative_workers", "sweep_text_workers", "ned_k",
-        "ned_config_k", "ned_sweep_ks"])
+        "ned_config_k", "ned_sweep_ks", "config_spec", "ned_resolver_cache_without_url"])
 def test_bad_walk_parameters_stop_before_any_output(workspace, tmp_path, capsys, command,
                                                     flags, config, code, message):
     inputs = {"rel": ["--pairs", str(workspace["pairs"])],

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -364,6 +366,23 @@ def test_ngd_reads_the_reverse_graph_the_walks_built(lions):
     assert reverse is not None
     run_batch(queries, graph, store, system="ngd", workers=2)
     assert graph.reverse() is reverse
+
+
+def test_a_dropped_graph_is_freed_without_a_gc_pass(lions, tmp_path):
+    _, store, _, query = lions
+    gw.graph.save_snapshot(build_lions_graph(), str(tmp_path / "g.gwkb"))
+    queries = chunk_boundary_queries(query, 33)
+    gc.disable()
+    try:
+        graph = gw.graph.load_snapshot(str(tmp_path / "g.gwkb"))
+        run_batch(queries, graph, store, workers=2)
+        run_batch(queries, graph, store, system="ngd", workers=2)
+        assert graph._engine is not None
+        refs = [weakref.ref(graph), weakref.ref(graph.reverse())]
+        del graph
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_run_batch_rejects_unknown_system(lions):

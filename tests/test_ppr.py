@@ -298,6 +298,58 @@ def test_read_scores_equal_the_dense_block_loop_bitwise(share, seed, count, iter
         assert scores.tobytes() == to_dense(vector)[ids].tobytes()
 
 
+class _StaleRowsNaN:
+    """A cone product that first overwrites with NaN every block row it
+    does not read."""
+
+    def __init__(self, product):
+        self.product = product
+
+    def dot(self, p):
+        unread = np.ones(len(p), dtype=bool)
+        unread[self.product.indices] = False
+        p[unread] = np.nan
+        return self.product.dot(p)
+
+
+@pytest.mark.parametrize("share", [1.01, None], ids=["always_cone", "default"])
+@given(seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([1, _BLOCK_COLUMNS + 1]),
+       iterations=st.sampled_from([1, 2, 5, 15]),
+       sparse_graph=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_the_in_place_cone_reads_no_stale_row(share, seed, count, iterations, sparse_graph):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 120))
+    density = 2.0 / n if sparse_graph else None
+    g = graph_from_arcs(n, random_arc_set(rng, n, density, force_dangling=True))
+    teleports, reads = [], []
+    for _ in range(count):
+        dense = np.zeros(n)
+        ids = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        dense[ids] = rng.random(len(ids)) + 0.1
+        teleports.append(ScoreVector.from_dense(dense / dense.sum()))
+        reads.append(rng.integers(0, n, int(rng.integers(1, 6))))
+    params = PprParams(alpha=float(rng.uniform(0.5, 0.99)), iterations=iterations)
+    engine = PprEngine(g)
+    cone_product = PprEngine._cone_product
+    products = []
+
+    def stale_rows_nan(self, rows):
+        products.append(rows)
+        return _StaleRowsNaN(cone_product(self, rows))
+
+    with mock.patch.object(ppr, "_FRONTIER_ARCS",
+                           ppr._FRONTIER_ARCS if share is None else share):
+        want = list(engine.run_many(teleports, params, reads=reads))
+        with mock.patch.object(PprEngine, "_cone_product", stale_rows_nan):
+            got = list(engine.run_many(teleports, params, reads=reads))
+    if share is not None:  # every iteration of every block is a cone product
+        assert len(products) == iterations * -(-count // _BLOCK_COLUMNS)
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("reads", [[[0]], [[0], [1], [2]], [[0], [3]], [[0], [-1]]],
                          ids=["fewer", "more", "id_n", "negative_id"])
 def test_reads_of_the_wrong_length_or_outside_the_graph_are_hard_errors(reads):
